@@ -6,6 +6,7 @@ in the power-sum coordinates; no floating point anywhere.  The hot kernels
 run on a compiled backend when available (see symkron._kernels).
 """
 
+from symkron import bases, named
 from symkron._kernels import backend_name
 from symkron.partitions import Partition, conjugate, partitions_of, z
 from symkron.series import (
@@ -57,6 +58,18 @@ from symkron.verify import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every memo in the package: the named-series expansions and the
+    conversion tables and character memos of ``symkron.bases``.
+
+    Lets a cold computation be measured in-process; results do not depend
+    on it.
+    """
+    named._expand_cached.cache_clear()
+    bases.clear_caches()
+
+
 __all__ = [
     "BASES",
     "BasisError",
@@ -73,6 +86,7 @@ __all__ = [
     "backend_name",
     "character",
     "character_table",
+    "clear_caches",
     "conjugate",
     "exp_series",
     "expand",

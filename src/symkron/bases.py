@@ -5,17 +5,30 @@ through it.  h and e are handled by the Newton recurrences
 
     n h_n = sum_{k=1..n} p_k h_{n-k}        n e_n = sum_{k=1..n} (-1)^(k-1) p_k e_{n-k}
 
-s by symmetric-group characters (Murnaghan-Nakayama rule), and m by the
-duality <m_lam, h_mu> = delta, which per degree is a triangular system in
-the lexicographic order.  All expansion tables are memoized in append-only
-caches, so concurrent readers are safe (a duplicated computation writes the
-same value twice).
+s by symmetric-group characters, and m by the duality <m_lam, h_mu> = delta,
+which per degree is a triangular system in the lexicographic order.
+
+Characters come by two independent routes, both Murnaghan-Nakayama:
+
+* the conversions (p -> s in ``from_p``, s -> p in ``to_p``) read integer
+  character *columns* p_mu = sum_lam chi^lam(mu) s_lam, built per cycle
+  type mu on beta-set bitmasks from the column of mu's tail, so whole
+  weights share their stripped tails;
+* ``character`` / ``character_table`` strip border strips from one row
+  lam at a time through the (lam, mu) memo ``_char_cache``.  Only the
+  oracle uses this route (``kronecker_coefficient(oracle=True)`` and the
+  tests), so the pipeline is never checked against itself.
+
+All expansion tables are memoized in append-only caches, so concurrent
+readers are safe (a duplicated computation writes the same value twice);
+``clear_caches`` empties them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
@@ -93,6 +106,66 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n, {(l, m): character(l, m) for l in lams for m in lams})
 
 
+# ------------------------------------------------------- character columns
+#
+# A partition lam of n is held as the bitmask of its n beta numbers
+# lam_i + n - i (i = 1..n, lam padded with zeros).  Adding a border strip
+# of size t moves one bead from b to the empty slot b + t, with sign
+# (-1)^(beads strictly between); lifting an (n - t)-bead mask to n beads
+# shifts it by t and fills the t lowest slots.
+
+_column_cache: dict[tuple, dict[int, int]] = {}
+_index_cache: dict[int, list[tuple[Partition, int]]] = {}
+
+
+def _beta_mask(lam: tuple, n: int) -> int:
+    mask = (1 << (n - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + n - 1 - i)
+    return mask
+
+
+def _weight_index(n: int) -> list[tuple[Partition, int]]:
+    """(lam, beta mask) for every lam of weight n, in ascending order."""
+    cached = _index_cache.get(n)
+    if cached is None:
+        cached = [(lam, _beta_mask(lam, n)) for lam in partitions_of(n)]
+        _index_cache[n] = cached
+    return cached
+
+
+def _column(mu: tuple) -> dict[int, int]:
+    """Beta mask of lam -> chi^lam(mu), nonzero values only.
+
+    Murnaghan-Nakayama read backwards: every lam of weight |mu| arises from
+    a partition in the column of mu[1:] by adding one border strip of size
+    mu_1, and chi^lam(mu) sums the signed tail values over those strips.
+    """
+    col = _column_cache.get(mu)
+    if col is None:
+        if not mu:
+            col = {0: 1}
+        else:
+            t = mu[0]
+            fill = (1 << t) - 1
+            between = (1 << (t - 1)) - 1
+            acc: dict[int, int] = {}
+            for tail, chi in _column(mu[1:]).items():
+                mask = (tail << t) | fill
+                free = mask & ~(mask >> t)
+                while free:
+                    bead = free & -free
+                    free ^= bead
+                    grown = mask ^ bead ^ (bead << t)
+                    if ((mask >> bead.bit_length()) & between).bit_count() & 1:
+                        acc[grown] = acc.get(grown, 0) - chi
+                    else:
+                        acc[grown] = acc.get(grown, 0) + chi
+            col = {k: v for k, v in acc.items() if v}
+        _column_cache[mu] = col
+    return col
+
+
 # --------------------------------------------------- basis elements over p
 
 _h_cache: dict[int, dict] = {}
@@ -160,14 +233,16 @@ def _elam_in_p(lam: tuple) -> dict:
 
 
 def _s_in_p(lam: tuple) -> dict:
+    """[p_mu] s_lam = chi^lam(mu) / z(mu), read across the weight's columns."""
     cached = _s_cache.get(lam)
     if cached is None:
         n = sum(lam)
+        mask = _beta_mask(lam, n)
         cached = {}
-        for mu in partitions_of(n):
-            chi = _char(lam, tuple(mu))
+        for mu, _ in _weight_index(n):
+            chi = _column(mu).get(mask)
             if chi:
-                cached[tuple(mu)] = Fraction(chi, z(mu))
+                cached[mu] = Fraction(chi, z(mu))
         _s_cache[lam] = cached
     return cached
 
@@ -213,6 +288,18 @@ def _basis_element_in_p(basis: str, lam: tuple) -> dict:
     raise BasisError(f"no p-expansion for basis {basis!r}")
 
 
+def clear_caches() -> None:
+    """Empty every memo of this module: the character memo of the oracle,
+    the character columns and the p-expansions of basis elements.
+
+    Only for cold measurements and tests; values computed before stay
+    valid, so the call is harmless apart from the recomputation it causes.
+    """
+    for cache in (_char_cache, _column_cache, _index_cache, _h_cache, _e_cache,
+                  _hlam_cache, _elam_cache, _s_cache, _m_cache):
+        cache.clear()
+
+
 # -------------------------------------------------------------- conversions
 
 def to_p(f: SymFunc) -> SymFunc:
@@ -233,8 +320,9 @@ def to_p(f: SymFunc) -> SymFunc:
 def from_p(f: SymFunc, target: str) -> SymFunc:
     """Exact change of basis from p to the target basis.
 
-    m and s coefficients come straight from the scalar product (duality
-    with h, respectively Schur orthonormality); h and e coefficients by a
+    m coefficients come straight from the scalar product (duality with h);
+    s coefficients sum the character columns of the input's cycle types
+    over one common denominator per weight; h and e coefficients by a
     per-degree triangular solve against their p-expansions.
     """
     if target not in BASES:
@@ -251,14 +339,21 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
 
 
 def _extract_weight(piece: dict, n: int, target: str) -> dict:
-    lams = [tuple(lam) for lam in partitions_of(n)]
     out: dict[tuple, Fraction] = {}
     if target == "s":
-        for lam in lams:
-            d = sum((c * _char(lam, mu) for mu, c in piece.items()), _ZERO)
-            if d:
-                out[lam] = d
+        # Over one common denominator the column sums are integer sums.
+        denom = lcm(*(c.denominator for c in piece.values()))
+        acc: dict[int, int] = {}
+        for mu, c in piece.items():
+            scale = c.numerator * (denom // c.denominator)
+            for mask, chi in _column(mu).items():
+                acc[mask] = acc.get(mask, 0) + scale * chi
+        for lam, mask in _weight_index(n):
+            v = acc.get(mask)
+            if v:
+                out[lam] = Fraction(v, denom)
         return out
+    lams = [tuple(lam) for lam in partitions_of(n)]
     if target == "m":
         for lam in lams:
             row = _hlam_in_p(lam)

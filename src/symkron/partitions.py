@@ -26,7 +26,7 @@ class Partition(tuple):
         parts = tuple(parts)
         prev = None
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:  # bool is an int subclass
                 raise ValueError(f"parts must be positive integers: {parts!r}")
             if prev is not None and p > prev:
                 raise ValueError(f"parts must be weakly decreasing: {parts!r}")

@@ -45,7 +45,7 @@ class SymFunc:
     def __init__(self, basis: str, terms, degree: int):
         if basis not in BASES:
             raise BasisError(f"unknown basis {basis!r}; expected one of {BASES}")
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:  # bool is an int subclass
             raise ValueError(f"truncation degree must be a non-negative integer: {degree!r}")
         items = terms.items() if isinstance(terms, dict) else terms
         clean: dict[Partition, Fraction] = {}
@@ -217,11 +217,19 @@ class SymFunc:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymFunc":
+        """Inverse of :meth:`to_json_dict`.  Coefficients must be JSON
+        integers or rational strings: a JSON float is already inexact when
+        parsed, so it is rejected rather than converted."""
         try:
             basis = data["basis"]
             degree = data["degree"]
-            terms = [(tuple(t["partition"]), Fraction(t["coefficient"]))
-                     for t in data["terms"]]
+            terms = []
+            for t in data["terms"]:
+                c = t["coefficient"]
+                if isinstance(c, bool) or not isinstance(c, (int, str)):
+                    raise TypeError(f"coefficient {c!r} is not an integer or a "
+                                    "rational string")
+                terms.append((tuple(t["partition"]), Fraction(c)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
         return cls(basis, terms, degree)

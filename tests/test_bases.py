@@ -3,7 +3,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import symkron
 from conftest import random_symfunc
 from symkron.bases import (
     CharacterTable,
@@ -13,8 +15,9 @@ from symkron.bases import (
     schur_by_gram_schmidt,
     to_p,
 )
+from symkron.named import TAGS, expand
 from symkron.partitions import Partition, partitions_of, z
-from symkron.products import scalar_product
+from symkron.products import kronecker_coefficient, scalar_product
 from symkron.series import BASES, BasisError, SymFunc
 
 F = Fraction
@@ -269,3 +272,64 @@ def test_gram_schmidt_vectors_have_unit_norm():
 def test_gram_schmidt_rejects_weight_zero():
     with pytest.raises(ValueError):
         schur_by_gram_schmidt(0)
+
+
+# -------------------------------------- conversions against the oracle route
+#
+# The conversions read character columns; ``character`` strips rows through
+# its own memo.  These tests hold the two routes against each other.
+
+def s_expansion_by_oracle(f):
+    """[s_lam] f = sum over mu of [p_mu] f * chi^lam(mu), from ``character``."""
+    terms = {}
+    for n in f.weights():
+        for lam in partitions_of(n):
+            terms[lam] = sum((c * character(lam, mu)
+                              for mu, c in f.terms.items() if mu.weight == n), F(0))
+    return SymFunc("s", terms, f.degree)
+
+
+PARTITIONS_UP_TO_10 = [lam for n in range(11) for lam in partitions_of(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(PARTITIONS_UP_TO_10),
+                       st.fractions(-40, 40, max_denominator=36), max_size=8))
+def test_from_p_to_s_matches_character_sums(terms):
+    f = SymFunc("p", terms, 10)
+    assert from_p(f, "s") == s_expansion_by_oracle(f)
+
+
+def test_schur_in_p_matches_characters_over_z():
+    for n in range(11):
+        for lam in partitions_of(n):
+            expected = {mu: F(character(lam, mu), z(mu)) for mu in partitions_of(n)}
+            expected = {mu: c for mu, c in expected.items() if c}
+            assert to_p(SymFunc.single("s", lam, n)).terms == expected
+
+
+def test_named_series_schur_expansions_match_oracle():
+    for tag in TAGS:
+        f = expand(tag, 12)
+        assert from_p(f, "s") == s_expansion_by_oracle(f), tag
+
+
+def test_kronecker_coefficients_weight_seven_match_oracle():
+    lams = partitions_of(7)
+    for lam in lams:
+        for mu in lams:
+            for rho in lams:
+                assert kronecker_coefficient(lam, mu, rho) == \
+                    kronecker_coefficient(lam, mu, rho, oracle=True), (lam, mu, rho)
+
+
+def test_clear_caches_gives_cold_results_equal_to_warm():
+    f = expand("SEinv", 9)
+    s_lam = SymFunc.single("s", (4, 3, 1, 1), 9)
+    warm = (from_p(f, "s"), to_p(s_lam))
+    assert symkron.bases._column_cache
+    symkron.clear_caches()
+    assert not symkron.bases._column_cache
+    assert not symkron.bases._s_cache
+    assert not symkron.bases._char_cache
+    assert (from_p(f, "s"), to_p(s_lam)) == warm

@@ -77,6 +77,16 @@ def test_kron_reads_stdin(tmp_path, capsys, monkeypatch):
     assert SymFunc.from_json(out) == to_p(e2)
 
 
+def test_kron_rejects_float_coefficient(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"basis": "p", "degree": 1, "terms": [
+        {"partition": [1], "coefficient": 0.1}]}))
+    status, out, err = run(["kron", "--lhs", str(path), "--rhs", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: malformed series JSON: coefficient 0.1")
+
+
 def test_kron_rejects_double_stdin(capsys):
     status, _, err = run(["kron", "--lhs", "-", "--rhs", "-"], capsys)
     assert status == 2

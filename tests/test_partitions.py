@@ -134,6 +134,8 @@ def test_partition_validation():
         Partition((2, -1))
     with pytest.raises(ValueError):
         Partition(("2",))
+    with pytest.raises(ValueError):
+        Partition((True,))
 
 
 def test_partition_behaves_like_tuple():

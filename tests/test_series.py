@@ -270,3 +270,25 @@ def test_json_is_deterministic():
 def test_malformed_json_rejected():
     with pytest.raises(ValueError):
         SymFunc.from_json("{\"basis\": \"p\"}")
+
+
+def _one_term_json(coefficient, degree=2):
+    return json.dumps({"basis": "p", "degree": degree,
+                       "terms": [{"partition": [2], "coefficient": coefficient}]})
+
+
+def test_json_accepts_integers_and_rational_strings():
+    for coefficient, value in ((3, F(3)), ("3", F(3)), ("-1/2", F(-1, 2))):
+        assert SymFunc.from_json(_one_term_json(coefficient)).terms == {(2,): value}
+
+
+def test_json_rejects_inexact_or_boolean_values():
+    # 0.1 used to be stored as 3602879701896397/36028797018963968
+    for coefficient in (0.1, 1.0, True, None, [1]):
+        with pytest.raises(ValueError, match="coefficient"):
+            SymFunc.from_json(_one_term_json(coefficient))
+    with pytest.raises(ValueError, match="degree"):
+        SymFunc.from_json(_one_term_json("1", degree=True))
+    with pytest.raises(ValueError):
+        SymFunc.from_json(json.dumps({"basis": "p", "degree": 1, "terms": [
+            {"partition": [True], "coefficient": "1"}]}))
