@@ -1,11 +1,9 @@
-"""Build script: compiles the optional Cython kernel speedups.
+"""Build script: compiles the optional Cython ``mul_terms`` kernel.
 
-The package is fully functional without the extension (pure-Python kernels
-are selected at import time), so any build failure here only costs speed.
-Set SYMKRON_PURE_PYTHON=1 to skip the extension entirely.
+The package is fully functional without the extension (the pure-Python
+``mul_terms`` is selected at import time), so any build failure here, or a
+missing Cython, only costs speed.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -28,8 +26,6 @@ class OptionalBuildExt(build_ext):
 
 
 def extensions():
-    if os.environ.get("SYMKRON_PURE_PYTHON") == "1":
-        return []
     try:
         from Cython.Build import cythonize
     except ImportError:

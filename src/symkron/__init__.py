@@ -2,8 +2,9 @@
 identity suite built on them.
 
 Everything is exact rational arithmetic on sparse, degree-truncated series
-in the power-sum coordinates; no floating point anywhere.  The hot kernels
-run on a compiled backend when available (see symkron._kernels).
+in the power-sum coordinates; no floating point anywhere.  The sparse
+product kernel runs compiled when the extension is built; ``backend_name``
+reports which one is active (see symkron._kernels).
 """
 
 from symkron import bases, named

@@ -1,74 +1,81 @@
-"""Kernel backend selection for the hot sparse-series loops.
+"""The exact-arithmetic kernels for sparse series in power-sum coordinates.
 
-Two interchangeable implementations exist: ``_pure`` (plain Python, always
-available) and ``_speedups`` (compiled Cython extension, built by setup.py
-when a compiler is present).  Both expose the same functions over the same
-data: term maps are dicts keyed by weakly decreasing integer tuples with
-``fractions.Fraction`` values, and results are exactly equal between the
-backends.
-
-The compiled backend is preferred when importable.  Set the environment
-variable SYMKRON_KERNEL to ``python`` or ``c`` to force a choice at import
-time; ``set_backend`` switches at runtime (the benchmark uses this).
+Term maps are dicts keyed by weakly decreasing integer tuples with
+``fractions.Fraction`` values.  ``kron_terms`` and ``scalar_terms`` exist
+once, in Python.  ``mul_terms`` runs on the compiled ``_speedups`` extension
+when setup.py could build it, and on the reference ``_mul_terms_py``
+otherwise; the two give exactly equal results, and ``backend_name`` says
+which one is active.
 """
 
-import os
+from fractions import Fraction
+from math import lcm
 
-from symkron._kernels import _pure
+from symkron.partitions import z
+
+
+def _mul_terms_py(a: dict, b: dict, limit: int) -> dict:
+    """Distributive product; keys merge by sorting parts, weights add."""
+    if not a or not b:
+        return {}
+    flat = [(k, sum(k), c) for k, c in b.items()]
+    acc: dict = {}
+    for ka, ca in a.items():
+        wa = sum(ka)
+        for kb, wb, cb in flat:
+            if wa + wb > limit:
+                continue
+            key = tuple(sorted(ka + kb, reverse=True))
+            prev = acc.get(key)
+            acc[key] = ca * cb if prev is None else prev + ca * cb
+    return {k: c for k, c in acc.items() if c}
+
 
 try:
-    from symkron._kernels import _speedups
+    from symkron._kernels._speedups import mul_terms as _mul
 except ImportError:
-    _speedups = None
-
-_BACKENDS = {"python": _pure}
-if _speedups is not None:
-    _BACKENDS["c"] = _speedups
-
-_impl = _speedups if _speedups is not None else _pure
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+    _mul = _mul_terms_py
 
 
 def backend_name() -> str:
-    """Name of the active backend: "c" or "python"."""
-    return "c" if _impl is _speedups else "python"
+    """Which ``mul_terms`` is active: "c" (compiled) or "python"."""
+    return "python" if _mul is _mul_terms_py else "c"
 
 
-def set_backend(name: str) -> None:
-    global _impl
-    try:
-        _impl = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown or unavailable kernel backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-
-
-_forced = os.environ.get("SYMKRON_KERNEL")
-if _forced:
-    set_backend(_forced)
-
-
+# A function of this module rather than an alias of ``_mul``: the layer
+# tracer in perfbench/tracer.py wraps only functions defined here.
 def mul_terms(a: dict, b: dict, limit: int) -> dict:
     """Sparse product of two multiplicative-basis term maps, truncated so
     that no result key has weight above ``limit``."""
-    return _impl.mul_terms(a, b, limit)
+    return _mul(a, b, limit)
 
 
 def kron_terms(a: dict, b: dict) -> dict:
-    """Diagonal (Kronecker) product: shared keys only, weighted by z."""
-    return _impl.kron_terms(a, b)
+    """Diagonal (Kronecker) product: shared keys only, a[k] * b[k] * z(k)."""
+    if len(b) < len(a):
+        a, b = b, a
+    out = {}
+    for k, ca in a.items():
+        cb = b.get(k)
+        if cb is not None:
+            out[k] = Fraction(ca.numerator * cb.numerator * z(k),
+                              ca.denominator * cb.denominator)
+    return out
 
 
-def scalar_terms(a: dict, b: dict):
-    """z-weighted scalar product of two term maps, as a Fraction."""
-    return _impl.scalar_terms(a, b)
+def scalar_terms(a: dict, b: dict) -> Fraction:
+    """Sum over shared keys of a[k] * b[k] * z(k), as a Fraction.
 
-
-def zstat(parts) -> int:
-    """Backend z statistic (same value as partitions.z)."""
-    return _impl.zstat(parts)
+    Each input is brought over the common denominator of its shared terms,
+    so the sum runs on Python ints and only the result is normalised.
+    """
+    if len(b) < len(a):
+        a, b = b, a
+    shared = [(k, ca, b[k]) for k, ca in a.items() if k in b]
+    da = lcm(*[ca.denominator for _, ca, _ in shared])
+    db = lcm(*[cb.denominator for _, _, cb in shared])
+    total = 0
+    for k, ca, cb in shared:
+        total += (ca.numerator * (da // ca.denominator)
+                  * cb.numerator * (db // cb.denominator) * z(k))
+    return Fraction(total, da * db)

@@ -1,12 +1,12 @@
 # cython: language_level=3
 # cython: boundscheck=False, wraparound=False
-"""Compiled kernels for the sparse-series inner loops.
+"""Compiled sparse product: the twin of symkron._kernels._mul_terms_py.
 
-Drop-in replacements for symkron._kernels._pure with exactly equal results.
-Term maps are dicts keyed by weakly decreasing integer tuples with Fraction
-values.  The rational arithmetic runs on raw numerator/denominator integer
-pairs (normalized with math.gcd on every accumulation, so intermediates
-stay in lowest terms) and only builds Fraction objects for the output.
+``mul_terms`` gives exactly the reference's results.  Term maps are dicts
+keyed by weakly decreasing integer tuples with Fraction values.  The
+rational arithmetic runs on raw numerator/denominator integer pairs
+(normalized with math.gcd on every accumulation, so intermediates stay in
+lowest terms) and only builds Fraction objects for the output.
 """
 
 from libc.stdlib cimport free, malloc
@@ -60,24 +60,6 @@ cdef long _weight(tuple key):
     for i in range(len(key)):
         s += <long>key[i]
     return s
-
-
-def zstat(parts):
-    """Product of v**mult * mult! over the distinct part values v."""
-    cdef tuple t = tuple(parts)
-    cdef object result = 1
-    cdef long prev = 0, run = 0, v
-    cdef Py_ssize_t i
-    for i in range(len(t)):
-        v = t[i]
-        if v == prev:
-            run += 1
-            result = result * v * run
-        else:
-            prev = v
-            run = 1
-            result = result * v
-    return result
 
 
 def mul_terms(dict a, dict b, long limit):
@@ -134,29 +116,3 @@ def mul_terms(dict a, dict b, long limit):
         if num != 0:
             out[key] = _Fraction(num, <object>entry[1])
     return out
-
-
-def kron_terms(dict a, dict b):
-    """Shared keys only: a[k] * b[k] * z(k)."""
-    if len(b) < len(a):
-        a, b = b, a
-    cdef dict out = {}
-    cdef object key, ca, cb
-    for key, ca in a.items():
-        cb = b.get(key)
-        if cb is not None:
-            out[key] = ca * cb * zstat(<tuple>key)
-    return out
-
-
-def scalar_terms(dict a, dict b):
-    """Sum over shared keys of a[k] * b[k] * z(k)."""
-    if len(b) < len(a):
-        a, b = b, a
-    cdef object total = _Fraction(0)
-    cdef object key, ca, cb
-    for key, ca in a.items():
-        cb = b.get(key)
-        if cb is not None:
-            total = total + ca * cb * zstat(<tuple>key)
-    return total

@@ -99,6 +99,8 @@ def _cmd_coef(args) -> int:
 
 def _cmd_verify(args) -> int:
     degree = args.degree
+    if degree < 0:
+        raise ValueError(f"--degree must be non-negative, got {degree}")
     if args.what == "all":
         reports = verify.run_suite(degree, parallel=args.parallel)
     elif args.what == "table":

@@ -14,6 +14,7 @@ Values are immutable by convention: operations return new objects, and the
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from symkron import _kernels as kernels
@@ -26,6 +27,9 @@ MULTIPLICATIVE_BASES = ("e", "h", "p")
 Coefficient = Fraction
 
 _ZERO = Fraction(0)
+
+#: The coefficient strings ``to_json_dict`` writes; JSON input must match.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class BasisError(ValueError):
@@ -218,18 +222,26 @@ class SymFunc:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymFunc":
         """Inverse of :meth:`to_json_dict`.  Coefficients must be JSON
-        integers or rational strings: a JSON float is already inexact when
-        parsed, so it is rejected rather than converted."""
+        integers or rational strings such as "-1/2": a JSON float is already
+        inexact when parsed, and a string like "1e100000000" would take
+        unbounded time to expand, so both are rejected rather than
+        converted.  Each partition may appear once."""
         try:
             basis = data["basis"]
             degree = data["degree"]
-            terms = []
+            terms = {}
             for t in data["terms"]:
+                lam = tuple(t["partition"])
                 c = t["coefficient"]
-                if isinstance(c, bool) or not isinstance(c, (int, str)):
+                if type(c) is not int and not (isinstance(c, str) and _RATIONAL.fullmatch(c)):
                     raise TypeError(f"coefficient {c!r} is not an integer or a "
                                     "rational string")
-                terms.append((tuple(t["partition"]), Fraction(c)))
+                if lam in terms:
+                    raise ValueError(f"partition {list(lam)} appears twice")
+                try:
+                    terms[lam] = Fraction(c)
+                except ZeroDivisionError:
+                    raise ValueError(f"coefficient {c!r} has a zero denominator") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
         return cls(basis, terms, degree)

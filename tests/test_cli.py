@@ -52,6 +52,14 @@ def test_expand_negative_degree_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_verify_negative_degree_is_usage_error(capsys):
+    for what in ("table", "intro", "support", "factors", "all"):
+        status, out, err = run(["verify", what, "--degree", "-3"], capsys)
+        assert status == 2, what
+        assert out == ""
+        assert err.startswith("error: --degree")
+
+
 def test_kron_files(tmp_path, capsys):
     p2 = SymFunc.single("p", (2,), 2)
     lhs = tmp_path / "lhs.json"
@@ -85,6 +93,18 @@ def test_kron_rejects_float_coefficient(tmp_path, capsys):
     assert status == 2
     assert out == ""
     assert err.startswith("error: malformed series JSON: coefficient 0.1")
+
+
+def test_kron_rejects_malformed_terms(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for terms in ([{"partition": [1], "coefficient": "1/0"}],
+                  [{"partition": [1], "coefficient": "1e3"}],
+                  [{"partition": [1], "coefficient": 1}, {"partition": [1], "coefficient": 2}]):
+        path.write_text(json.dumps({"basis": "p", "degree": 1, "terms": terms}))
+        status, out, err = run(["kron", "--lhs", str(path), "--rhs", str(path)], capsys)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: malformed series JSON:")
 
 
 def test_kron_rejects_double_stdin(capsys):

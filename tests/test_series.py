@@ -284,7 +284,7 @@ def test_json_accepts_integers_and_rational_strings():
 
 def test_json_rejects_inexact_or_boolean_values():
     # 0.1 used to be stored as 3602879701896397/36028797018963968
-    for coefficient in (0.1, 1.0, True, None, [1]):
+    for coefficient in (0.1, 1.0, True, None, [1], "1/0", "1e3", "0.5", " 1", "+1", "\u0661"):
         with pytest.raises(ValueError, match="coefficient"):
             SymFunc.from_json(_one_term_json(coefficient))
     with pytest.raises(ValueError, match="degree"):
@@ -292,3 +292,10 @@ def test_json_rejects_inexact_or_boolean_values():
     with pytest.raises(ValueError):
         SymFunc.from_json(json.dumps({"basis": "p", "degree": 1, "terms": [
             {"partition": [True], "coefficient": "1"}]}))
+
+
+def test_json_rejects_repeated_partitions():
+    text = json.dumps({"basis": "p", "degree": 1, "terms": [
+        {"partition": [1], "coefficient": 1}, {"partition": [1], "coefficient": 2}]})
+    with pytest.raises(ValueError, match="appears twice"):
+        SymFunc.from_json(text)
