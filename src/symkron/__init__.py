@@ -7,7 +7,7 @@ product kernel runs compiled when the extension is built; ``backend_name``
 reports which one is active (see symkron._kernels).
 """
 
-from symkron import bases, named
+from symkron import bases, named, partitions
 from symkron._kernels import backend_name
 from symkron.partitions import Partition, conjugate, partitions_of, z
 from symkron.series import (
@@ -61,13 +61,15 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo in the package: the named-series expansions and the
-    conversion tables and character memos of ``symkron.bases``.
+    """Empty every memo in the package: the named-series expansions, the
+    partition lists, and the conversion tables and character memos of
+    ``symkron.bases``.
 
     Lets a cold computation be measured in-process; results do not depend
     on it.
     """
     named._expand_cached.cache_clear()
+    partitions._partition_tuples.cache_clear()
     bases.clear_caches()
 
 

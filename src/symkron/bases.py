@@ -1,12 +1,13 @@
 """Conversions between the classical bases and the power-sum coordinates.
 
 The p basis is the canonical coordinate system; every conversion routes
-through it.  h and e are handled by the Newton recurrences
+through it, and one table of h_lam over p serves h, e and m:
 
-    n h_n = sum_{k=1..n} p_k h_{n-k}        n e_n = sum_{k=1..n} (-1)^(k-1) p_k e_{n-k}
-
-s by symmetric-group characters, and m by the duality <m_lam, h_mu> = delta,
-which per degree is a triangular system in the lexicographic order.
+* h by the Newton recurrence  n h_n = sum_{k=1..n} p_k h_{n-k};
+* e as omega(h): the involution omega sends h_lam to e_lam and acts on
+  power sums as p_mu -> (-1)^(|mu| - len(mu)) p_mu;
+* m by the duality <m_lam, h_mu> = delta, so [m_lam] f = <f, h_lam>;
+* s by symmetric-group characters.
 
 Characters come by two independent routes, both Murnaghan-Nakayama:
 
@@ -19,13 +20,15 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   oracle uses this route (``kronecker_coefficient(oracle=True)`` and the
   tests), so the pipeline is never checked against itself.
 
-All expansion tables are memoized in append-only caches, so concurrent
-readers are safe (a duplicated computation writes the same value twice);
-``clear_caches`` empties them.
+The character memo of the oracle is a plain dict; every other table is a
+``functools.cache`` function.  Both are append-only, so concurrent readers
+are safe (a duplicated computation stores the same value twice);
+``clear_caches`` empties them all.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -114,10 +117,6 @@ def character_table(n: int) -> CharacterTable:
 # (-1)^(beads strictly between); lifting an (n - t)-bead mask to n beads
 # shifts it by t and fills the t lowest slots.
 
-_column_cache: dict[tuple, dict[int, int]] = {}
-_index_cache: dict[int, list[tuple[Partition, int]]] = {}
-
-
 def _beta_mask(lam: tuple, n: int) -> int:
     mask = (1 << (n - len(lam))) - 1
     for i, part in enumerate(lam):
@@ -125,15 +124,13 @@ def _beta_mask(lam: tuple, n: int) -> int:
     return mask
 
 
+@functools.cache
 def _weight_index(n: int) -> list[tuple[Partition, int]]:
     """(lam, beta mask) for every lam of weight n, in ascending order."""
-    cached = _index_cache.get(n)
-    if cached is None:
-        cached = [(lam, _beta_mask(lam, n)) for lam in partitions_of(n)]
-        _index_cache[n] = cached
-    return cached
+    return [(lam, _beta_mask(lam, n)) for lam in partitions_of(n)]
 
 
+@functools.cache
 def _column(mu: tuple) -> dict[int, int]:
     """Beta mask of lam -> chi^lam(mu), nonzero values only.
 
@@ -141,112 +138,68 @@ def _column(mu: tuple) -> dict[int, int]:
     a partition in the column of mu[1:] by adding one border strip of size
     mu_1, and chi^lam(mu) sums the signed tail values over those strips.
     """
-    col = _column_cache.get(mu)
-    if col is None:
-        if not mu:
-            col = {0: 1}
-        else:
-            t = mu[0]
-            fill = (1 << t) - 1
-            between = (1 << (t - 1)) - 1
-            acc: dict[int, int] = {}
-            for tail, chi in _column(mu[1:]).items():
-                mask = (tail << t) | fill
-                free = mask & ~(mask >> t)
-                while free:
-                    bead = free & -free
-                    free ^= bead
-                    grown = mask ^ bead ^ (bead << t)
-                    if ((mask >> bead.bit_length()) & between).bit_count() & 1:
-                        acc[grown] = acc.get(grown, 0) - chi
-                    else:
-                        acc[grown] = acc.get(grown, 0) + chi
-            col = {k: v for k, v in acc.items() if v}
-        _column_cache[mu] = col
-    return col
+    if not mu:
+        return {0: 1}
+    t = mu[0]
+    fill = (1 << t) - 1
+    between = (1 << (t - 1)) - 1
+    acc: dict[int, int] = {}
+    for tail, chi in _column(mu[1:]).items():
+        mask = (tail << t) | fill
+        free = mask & ~(mask >> t)
+        while free:
+            bead = free & -free
+            free ^= bead
+            grown = mask ^ bead ^ (bead << t)
+            if ((mask >> bead.bit_length()) & between).bit_count() & 1:
+                acc[grown] = acc.get(grown, 0) - chi
+            else:
+                acc[grown] = acc.get(grown, 0) + chi
+    return {k: v for k, v in acc.items() if v}
 
 
 # --------------------------------------------------- basis elements over p
 
-_h_cache: dict[int, dict] = {}
-_e_cache: dict[int, dict] = {}
-_hlam_cache: dict[tuple, dict] = {}
-_elam_cache: dict[tuple, dict] = {}
-_s_cache: dict[tuple, dict] = {}
-_m_cache: dict[int, dict[tuple, dict]] = {}
+def _omega(terms: dict) -> dict:
+    """The involution omega over p: p_mu -> (-1)^(|mu| - len(mu)) p_mu."""
+    return {mu: -c if (sum(mu) - len(mu)) % 2 else c for mu, c in terms.items()}
 
 
-def _with_part(key: tuple, k: int) -> tuple:
-    return tuple(sorted(key + (k,), reverse=True))
-
-
+@functools.cache
 def _h_in_p(n: int) -> dict:
-    cached = _h_cache.get(n)
-    if cached is None:
-        if n == 0:
-            cached = {(): _ONE}
-        else:
-            acc: dict = {}
-            for k in range(1, n + 1):
-                for key, c in _h_in_p(n - k).items():
-                    nk = _with_part(key, k)
-                    acc[nk] = acc.get(nk, _ZERO) + c
-            cached = {key: c / n for key, c in acc.items()}
-        _h_cache[n] = cached
-    return cached
+    if n == 0:
+        return {(): _ONE}
+    acc: dict = {}
+    for k in range(1, n + 1):
+        for key, c in _h_in_p(n - k).items():
+            nk = tuple(sorted(key + (k,), reverse=True))
+            acc[nk] = acc.get(nk, _ZERO) + c
+    return {key: c / n for key, c in acc.items()}
 
 
-def _e_in_p(n: int) -> dict:
-    cached = _e_cache.get(n)
-    if cached is None:
-        if n == 0:
-            cached = {(): _ONE}
-        else:
-            acc: dict = {}
-            for k in range(1, n + 1):
-                sign = 1 if k % 2 else -1
-                for key, c in _e_in_p(n - k).items():
-                    nk = _with_part(key, k)
-                    acc[nk] = acc.get(nk, _ZERO) + sign * c
-            cached = {key: c / n for key, c in acc.items() if c}
-        _e_cache[n] = cached
-    return cached
-
-
-def _product_in_p(lam: tuple, factor, cache: dict) -> dict:
-    cached = cache.get(lam)
-    if cached is None:
-        cached = {(): _ONE}
-        weight = sum(lam)
-        for part in lam:
-            cached = kernels.mul_terms(cached, factor(part), weight)
-        cache[lam] = cached
-    return cached
-
-
+@functools.cache
 def _hlam_in_p(lam: tuple) -> dict:
-    return _product_in_p(lam, _h_in_p, _hlam_cache)
+    out = {(): _ONE}
+    weight = sum(lam)
+    for part in lam:
+        out = kernels.mul_terms(out, _h_in_p(part), weight)
+    return out
 
 
-def _elam_in_p(lam: tuple) -> dict:
-    return _product_in_p(lam, _e_in_p, _elam_cache)
-
-
+@functools.cache
 def _s_in_p(lam: tuple) -> dict:
     """[p_mu] s_lam = chi^lam(mu) / z(mu), read across the weight's columns."""
-    cached = _s_cache.get(lam)
-    if cached is None:
-        n = sum(lam)
-        mask = _beta_mask(lam, n)
-        cached = {}
-        for mu, _ in _weight_index(n):
-            chi = _column(mu).get(mask)
-            if chi:
-                cached[mu] = Fraction(chi, z(mu))
-        _s_cache[lam] = cached
-    return cached
+    n = sum(lam)
+    mask = _beta_mask(lam, n)
+    out = {}
+    for mu, _ in _weight_index(n):
+        chi = _column(mu).get(mask)
+        if chi:
+            out[mu] = Fraction(chi, z(mu))
+    return out
 
 
+@functools.cache
 def _m_in_p_all(n: int) -> dict[tuple, dict]:
     """p-expansions of every m_lam with lam a partition of n.
 
@@ -254,33 +207,28 @@ def _m_in_p_all(n: int) -> dict[tuple, dict]:
     all kappa of weight n.  In ascending lexicographic order the system is
     triangular because h_kappa only involves p_mu with mu <= kappa.
     """
-    cached = _m_cache.get(n)
-    if cached is None:
-        lams = [tuple(lam) for lam in partitions_of(n)]
-        rows = {kappa: _hlam_in_p(kappa) for kappa in lams}
-        zs = {mu: z(mu) for mu in lams}
-        cached = {}
-        for lam in lams:
-            coords: dict[tuple, Fraction] = {}
-            for kappa in lams:
-                row = rows[kappa]
-                acc = _ONE if kappa == lam else _ZERO
-                for mu, c in coords.items():
-                    r = row.get(mu)
-                    if r is not None:
-                        acc -= c * zs[mu] * r
-                if acc:
-                    coords[kappa] = acc / (zs[kappa] * row[kappa])
-            cached[lam] = coords
-        _m_cache[n] = cached
-    return cached
+    lams = [tuple(lam) for lam in partitions_of(n)]
+    rows = {kappa: _hlam_in_p(kappa) for kappa in lams}
+    zs = {mu: z(mu) for mu in lams}
+    out = {}
+    for lam in lams:
+        coords: dict[tuple, Fraction] = {}
+        for kappa in lams:
+            row = rows[kappa]
+            acc = _ONE if kappa == lam else _ZERO
+            for mu, c in coords.items():
+                r = row.get(mu)
+                if r is not None:
+                    acc -= c * zs[mu] * r
+            if acc:
+                coords[kappa] = acc / (zs[kappa] * row[kappa])
+        out[lam] = coords
+    return out
 
 
 def _basis_element_in_p(basis: str, lam: tuple) -> dict:
     if basis == "h":
         return _hlam_in_p(lam)
-    if basis == "e":
-        return _elam_in_p(lam)
     if basis == "s":
         return _s_in_p(lam)
     if basis == "m":
@@ -295,9 +243,9 @@ def clear_caches() -> None:
     Only for cold measurements and tests; values computed before stay
     valid, so the call is harmless apart from the recomputation it causes.
     """
-    for cache in (_char_cache, _column_cache, _index_cache, _h_cache, _e_cache,
-                  _hlam_cache, _elam_cache, _s_cache, _m_cache):
-        cache.clear()
+    _char_cache.clear()
+    for memo in (_column, _weight_index, _h_in_p, _hlam_in_p, _s_in_p, _m_in_p_all):
+        memo.cache_clear()
 
 
 # -------------------------------------------------------------- conversions
@@ -306,14 +254,18 @@ def to_p(f: SymFunc) -> SymFunc:
     """Re-express f over the power sums; exact, same truncation degree."""
     if f.basis == "p":
         return f
+    # e_lam = omega(h_lam), and omega is linear: expand as h, then twist.
+    basis = "h" if f.basis == "e" else f.basis
     out: dict[tuple, Fraction] = {}
     for lam, c in f.terms.items():
-        for mu, d in _basis_element_in_p(f.basis, tuple(lam)).items():
+        for mu, d in _basis_element_in_p(basis, tuple(lam)).items():
             s = out.get(mu, _ZERO) + c * d
             if s:
                 out[mu] = s
             elif mu in out:
                 del out[mu]
+    if f.basis == "e":
+        out = _omega(out)
     return SymFunc("p", out, f.degree)
 
 
@@ -322,8 +274,9 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
 
     m coefficients come straight from the scalar product (duality with h);
     s coefficients sum the character columns of the input's cycle types
-    over one common denominator per weight; h and e coefficients by a
-    per-degree triangular solve against their p-expansions.
+    over one common denominator per weight; h coefficients by a per-degree
+    triangular solve against the h_lam, and e coefficients by the same
+    solve on omega(f), since omega(e_lam) = h_lam.
     """
     if target not in BASES:
         raise BasisError(f"unknown basis {target!r}; expected one of {BASES}")
@@ -355,25 +308,20 @@ def _extract_weight(piece: dict, n: int, target: str) -> dict:
         return out
     lams = [tuple(lam) for lam in partitions_of(n)]
     if target == "m":
+        # [m_lam] f = <f, h_lam> by duality.
         for lam in lams:
-            row = _hlam_in_p(lam)
-            d = _ZERO
-            for mu, c in piece.items():
-                r = row.get(mu)
-                if r is not None:
-                    d += c * z(mu) * r
+            d = kernels.scalar_terms(piece, _hlam_in_p(lam))
             if d:
                 out[lam] = d
         return out
-    # h and e: peel the lexicographically largest remaining term; basis
-    # element lam only involves p_mu with mu <= lam, with nonzero diagonal.
-    element = _hlam_in_p if target == "h" else _elam_in_p
-    residual = dict(piece)
+    # h, and e on omega(f): peel the lexicographically largest remaining
+    # term; h_lam only involves p_mu with mu <= lam, with nonzero diagonal.
+    residual = _omega(piece) if target == "e" else dict(piece)
     for lam in reversed(lams):
         c = residual.get(lam)
         if not c:
             continue
-        row = element(lam)
+        row = _hlam_in_p(lam)
         d = c / row[lam]
         out[lam] = d
         for mu, r in row.items():

@@ -69,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--degree", type=int, default=10)
     p_verify.add_argument("--json", dest="json_path", metavar="PATH",
                           help="also write the reports as JSON to PATH")
-    p_verify.add_argument("--parallel", action="store_true",
-                          help="run independent identities in worker processes")
     return parser
 
 
@@ -98,21 +96,9 @@ def _cmd_coef(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    degree = args.degree
-    if degree < 0:
-        raise ValueError(f"--degree must be non-negative, got {degree}")
-    if args.what == "all":
-        reports = verify.run_suite(degree, parallel=args.parallel)
-    elif args.what == "table":
-        reports = [verify.verify_table_entry(a, b, degree)
-                   for a, b in verify.table_pairs()]
-    elif args.what == "intro":
-        reports = [verify.verify_intro_identity(degree)]
-    elif args.what == "support":
-        reports = [verify.verify_support_claims(degree)]
-    else:
-        reports = [verify.verify_factor_closed_forms(n, max(1, degree))
-                   for n in range(1, 5)]
+    if args.degree < 0:
+        raise ValueError(f"--degree must be non-negative, got {args.degree}")
+    reports = verify.run_suite(args.degree, args.what)
 
     for report in reports:
         print(f"{report.status.upper():4s} {report.identity}  "

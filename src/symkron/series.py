@@ -248,7 +248,11 @@ class SymFunc:
 
     @classmethod
     def from_json(cls, text: str) -> "SymFunc":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("malformed series JSON: nested too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def exp_series(f: SymFunc) -> SymFunc:

@@ -231,18 +231,18 @@ def verify_factor_closed_forms(n: int, order: int) -> VerificationReport:
     return _report(identity, n * order, started, disc)
 
 
-def run_suite(degree: int, parallel: bool = False) -> list[VerificationReport]:
-    """All 15 table entries, the S (x) S identity, the support claims, and
-    the factor closed forms for n <= 4, in canonical order."""
+def run_suite(degree: int, what: str = "all") -> list[VerificationReport]:
+    """The reports of one verify target, in canonical order: "table" (the 15
+    table entries), "intro" (the S (x) S identity), "support" (the support
+    claims), "factors" (the factor closed forms for n <= 4), or "all"."""
     jobs = [("table", a, b) for a, b in table_pairs()]
     jobs.append(("intro",))
     jobs.append(("support",))
     jobs.extend(("factors", n) for n in range(1, 5))
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(_run_job, jobs, [degree] * len(jobs)))
+    if what != "all":
+        jobs = [job for job in jobs if job[0] == what]
+        if not jobs:
+            raise ValueError(f"unknown verify target {what!r}")
     return [_run_job(job, degree) for job in jobs]
 
 

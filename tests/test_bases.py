@@ -17,7 +17,7 @@ from symkron.bases import (
 )
 from symkron.named import TAGS, expand
 from symkron.partitions import Partition, partitions_of, z
-from symkron.products import kronecker_coefficient, scalar_product
+from symkron.products import kronecker, kronecker_coefficient, scalar_product
 from symkron.series import BASES, BasisError, SymFunc
 
 F = Fraction
@@ -325,11 +325,64 @@ def test_kronecker_coefficients_weight_seven_match_oracle():
 
 def test_clear_caches_gives_cold_results_equal_to_warm():
     f = expand("SEinv", 9)
-    s_lam = SymFunc.single("s", (4, 3, 1, 1), 9)
-    warm = (from_p(f, "s"), to_p(s_lam))
-    assert symkron.bases._column_cache
+
+    def results():
+        return (from_p(f, "s"), from_p(f, "m"), from_p(f, "e"), from_p(f, "h"),
+                to_p(SymFunc.single("s", (4, 3, 1, 1), 9)),
+                to_p(SymFunc.single("m", (2, 2, 1), 5)),
+                character((3, 2, 1), (2, 2, 1, 1)))
+
+    warm = results()
+    memos = {f"{module.__name__}.{name}": obj
+             for module in (symkron.bases, symkron.named, symkron.partitions)
+             for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
+    assert {"symkron.bases._column", "symkron.bases._weight_index",
+            "symkron.bases._h_in_p", "symkron.bases._hlam_in_p",
+            "symkron.bases._s_in_p", "symkron.bases._m_in_p_all",
+            "symkron.named._expand_cached",
+            "symkron.partitions._partition_tuples"} <= memos.keys()
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    assert symkron.bases._char_cache
     symkron.clear_caches()
-    assert not symkron.bases._column_cache
-    assert not symkron.bases._s_cache
+    assert {name: memo.cache_info().currsize for name, memo in memos.items()} == \
+        dict.fromkeys(memos, 0)
     assert not symkron.bases._char_cache
-    assert (from_p(f, "s"), to_p(s_lam)) == warm
+    assert results() == warm
+
+
+# ------------------------------------------------------------- omega route
+#
+# e goes through the h table and the involution omega.  These tests reach
+# the same values without omega: e_n is the oracle sum over p_lam / z_lam,
+# and e_n (x) f = omega(f) is a Kronecker product.
+
+PARTITIONS_OF = {n: partitions_of(n) for n in range(1, 9)}
+
+
+@st.composite
+def homogeneous_p_series(draw):
+    n = draw(st.integers(1, 8))
+    terms = draw(st.dictionaries(st.sampled_from(PARTITIONS_OF[n]),
+                                 st.fractions(-40, 40, max_denominator=36), max_size=8))
+    return SymFunc("p", terms, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_p_series())
+def test_from_p_to_e_matches_kronecker_with_e_n(f):
+    n = f.degree
+    e_n = SymFunc("p", e_in_p_oracle(n), n)
+    assert to_p(SymFunc("h", from_p(f, "e").terms, n)) == kronecker(e_n, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from([lam for n in range(9) for lam in partitions_of(n)]),
+                       st.fractions(-40, 40, max_denominator=36), max_size=6))
+def test_e_to_p_matches_products_of_oracle_e_n(terms):
+    expected = SymFunc.zero("p", 8)
+    for lam, c in terms.items():
+        product = SymFunc.one("p", 8)
+        for part in lam:
+            product = product * SymFunc("p", e_in_p_oracle(part), 8)
+        expected = expected + product.scale(c)
+    assert to_p(SymFunc("e", terms, 8)) == expected

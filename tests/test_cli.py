@@ -107,6 +107,15 @@ def test_kron_rejects_malformed_terms(tmp_path, capsys):
         assert err.startswith("error: malformed series JSON:")
 
 
+def test_kron_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    status, out, err = run(["kron", "--lhs", str(path), "--rhs", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: malformed series JSON:")
+
+
 def test_kron_rejects_double_stdin(capsys):
     status, _, err = run(["kron", "--lhs", "-", "--rhs", "-"], capsys)
     assert status == 2

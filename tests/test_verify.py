@@ -120,11 +120,14 @@ def test_run_suite_all_pass():
     assert identities[17:] == [f"factors:n={n}" for n in (1, 2, 3, 4)]
 
 
-def test_run_suite_parallel_matches_serial():
-    serial = run_suite(4)
-    parallel = run_suite(4, parallel=True)
-    assert [(r.identity, r.status) for r in serial] == \
-        [(r.identity, r.status) for r in parallel]
+def test_run_suite_targets_partition_the_whole_suite():
+    whole = [r.identity for r in run_suite(4)]
+    parts = [r.identity for what in ("table", "intro", "support", "factors")
+             for r in run_suite(4, what)]
+    assert parts == whole
+    assert [r.identity for r in run_suite(4, "intro")] == ["intro:S⊗S=Modd·G"]
+    with pytest.raises(ValueError):
+        run_suite(4, "tabel")
 
 
 def test_graded_slices_of_verified_entries():
