@@ -2,9 +2,9 @@
 identity suite built on them.
 
 Everything is exact rational arithmetic on sparse, degree-truncated series
-in the power-sum coordinates; no floating point anywhere.  The sparse
-product kernel runs compiled when the extension is built; ``backend_name``
-reports which one is active (see symkron._kernels).
+in the power-sum coordinates; no floating point anywhere.  The package is
+pure Python: the kernels in symkron._kernels exist once each, and
+``backend_name`` always reports "python".
 """
 
 from symkron import bases, named, partitions

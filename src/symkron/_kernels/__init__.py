@@ -1,11 +1,10 @@
 """The exact-arithmetic kernels for sparse series in power-sum coordinates.
 
 Term maps are dicts keyed by weakly decreasing integer tuples with
-``fractions.Fraction`` values.  ``kron_terms`` and ``scalar_terms`` exist
-once, in Python.  ``mul_terms`` runs on the compiled ``_speedups`` extension
-when setup.py could build it, and on the reference ``_mul_terms_py``
-otherwise; the two give exactly equal results, and ``backend_name`` says
-which one is active.
+``fractions.Fraction`` values.  Each kernel exists once, in Python, and
+computes on Python ints: ``mul_terms`` and ``scalar_terms`` bring each input
+over one common denominator, ``kron_terms`` multiplies numerators and
+denominators apart, and only the results become ``Fraction`` objects.
 """
 
 from fractions import Fraction
@@ -14,40 +13,70 @@ from math import lcm
 from symkron.partitions import z
 
 
-def _mul_terms_py(a: dict, b: dict, limit: int) -> dict:
-    """Distributive product; keys merge by sorting parts, weights add."""
-    if not a or not b:
-        return {}
-    flat = [(k, sum(k), c) for k, c in b.items()]
-    acc: dict = {}
-    for ka, ca in a.items():
-        wa = sum(ka)
-        for kb, wb, cb in flat:
-            if wa + wb > limit:
-                continue
-            key = tuple(sorted(ka + kb, reverse=True))
-            prev = acc.get(key)
-            acc[key] = ca * cb if prev is None else prev + ca * cb
-    return {k: c for k, c in acc.items() if c}
-
-
-try:
-    from symkron._kernels._speedups import mul_terms as _mul
-except ImportError:
-    _mul = _mul_terms_py
-
-
 def backend_name() -> str:
-    """Which ``mul_terms`` is active: "c" (compiled) or "python"."""
-    return "python" if _mul is _mul_terms_py else "c"
+    """Which implementation runs the kernels; always "python"."""
+    return "python"
 
 
-# A function of this module rather than an alias of ``_mul``: the layer
-# tracer in perfbench/tracer.py wraps only functions defined here.
+def _rows(terms: dict, limit: int, unit: list, keys: dict) -> tuple[list, int]:
+    """(weight, code, numerator) for every key of weight <= limit, sorted by
+    weight, and the common denominator of the numerators.  Each code is
+    recorded in ``keys`` with the key it stands for."""
+    kept = [(k, c) for k, c in terms.items() if sum(k) <= limit]
+    den = lcm(*[c.denominator for _, c in kept])
+    rows = []
+    for k, c in kept:
+        code = sum(map(unit.__getitem__, k))
+        keys[code] = k
+        rows.append((sum(k), code, c.numerator * (den // c.denominator)))
+    rows.sort()
+    return rows, den
+
+
 def mul_terms(a: dict, b: dict, limit: int) -> dict:
     """Sparse product of two multiplicative-basis term maps, truncated so
-    that no result key has weight above ``limit``."""
-    return _mul(a, b, limit)
+    that no result key has weight above ``limit``.
+
+    A key is coded as the int sum of 2**((part - 1) * shift) over its parts,
+    with ``shift = limit.bit_length()``: one field of ``shift`` bits per part
+    size holds that part's multiplicity, so merging two keys is adding their
+    codes.  Keys above the limit are dropped before coding, and every merged
+    key weighs at most ``limit``, so no multiplicity (at most ``limit``)
+    overflows its field.  An output key equal to an input key is that key;
+    any other is decoded once.
+    """
+    shift = limit.bit_length()
+    unit = [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
+    keys: dict = {}
+    rows_a, da = _rows(a, limit, unit, keys)
+    rows_b, db = _rows(b, limit, unit, keys)
+    acc: dict = {}
+    get = acc.get
+    for wa, ca, na in rows_a:
+        room = limit - wa
+        for wb, cb, nb in rows_b:
+            if wb > room:
+                break
+            code = ca + cb
+            acc[code] = get(code, 0) + na * nb
+    mask = (1 << shift) - 1
+    den = da * db
+    out = {}
+    for code, v in acc.items():
+        if not v:
+            continue
+        key = keys.get(code)
+        if key is None:
+            parts: list = []
+            part = 1
+            while code:
+                parts += [part] * (code & mask)
+                code >>= shift
+                part += 1
+            parts.reverse()
+            key = tuple(parts)
+        out[key] = Fraction(v, den)
+    return out
 
 
 def kron_terms(a: dict, b: dict) -> dict:

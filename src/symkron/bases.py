@@ -6,7 +6,8 @@ through it, and one table of h_lam over p serves h, e and m:
 * h by the Newton recurrence  n h_n = sum_{k=1..n} p_k h_{n-k};
 * e as omega(h): the involution omega sends h_lam to e_lam and acts on
   power sums as p_mu -> (-1)^(|mu| - len(mu)) p_mu;
-* m by the duality <m_lam, h_mu> = delta, so [m_lam] f = <f, h_lam>;
+* m by the duality <m_lam, h_mu> = delta, so [m_lam] f = <f, h_lam> and
+  [p_mu] m_lam = [h_lam] p_mu / z(mu);
 * s by symmetric-group characters.
 
 Characters come by two independent routes, both Murnaghan-Nakayama:
@@ -203,26 +204,15 @@ def _s_in_p(lam: tuple) -> dict:
 def _m_in_p_all(n: int) -> dict[tuple, dict]:
     """p-expansions of every m_lam with lam a partition of n.
 
-    Solves  sum_mu c_mu * z(mu) * [p_mu](h_kappa) = delta(lam, kappa)  for
-    all kappa of weight n.  In ascending lexicographic order the system is
-    triangular because h_kappa only involves p_mu with mu <= kappa.
+    By duality, [p_mu] m_lam = <m_lam, p_mu> / z(mu) = [h_lam] p_mu / z(mu),
+    so the h peel of each p_mu, transposed, gives every m_lam at once.
     """
     lams = [tuple(lam) for lam in partitions_of(n)]
-    rows = {kappa: _hlam_in_p(kappa) for kappa in lams}
-    zs = {mu: z(mu) for mu in lams}
-    out = {}
-    for lam in lams:
-        coords: dict[tuple, Fraction] = {}
-        for kappa in lams:
-            row = rows[kappa]
-            acc = _ONE if kappa == lam else _ZERO
-            for mu, c in coords.items():
-                r = row.get(mu)
-                if r is not None:
-                    acc -= c * zs[mu] * r
-            if acc:
-                coords[kappa] = acc / (zs[kappa] * row[kappa])
-        out[lam] = coords
+    out: dict[tuple, dict] = {lam: {} for lam in lams}
+    for mu in lams:
+        zmu = z(mu)
+        for lam, c in _extract_weight({mu: _ONE}, n, "h").items():
+            out[lam][mu] = c / zmu
     return out
 
 
@@ -231,9 +221,7 @@ def _basis_element_in_p(basis: str, lam: tuple) -> dict:
         return _hlam_in_p(lam)
     if basis == "s":
         return _s_in_p(lam)
-    if basis == "m":
-        return _m_in_p_all(sum(lam))[lam]
-    raise BasisError(f"no p-expansion for basis {basis!r}")
+    return _m_in_p_all(sum(lam))[lam]
 
 
 def clear_caches() -> None:

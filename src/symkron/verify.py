@@ -234,7 +234,10 @@ def verify_factor_closed_forms(n: int, order: int) -> VerificationReport:
 def run_suite(degree: int, what: str = "all") -> list[VerificationReport]:
     """The reports of one verify target, in canonical order: "table" (the 15
     table entries), "intro" (the S (x) S identity), "support" (the support
-    claims), "factors" (the factor closed forms for n <= 4), or "all"."""
+    claims), "factors" (the factor closed forms for n <= 4), or "all".
+    The degree must be non-negative."""
+    if degree < 0:
+        raise ValueError(f"verify degree must be non-negative, got {degree}")
     jobs = [("table", a, b) for a, b in table_pairs()]
     jobs.append(("intro",))
     jobs.append(("support",))

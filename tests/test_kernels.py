@@ -1,52 +1,30 @@
-import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symkron import _kernels as kernels
 from symkron.partitions import partitions_of, z
 
-try:
-    from symkron._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(_speedups is None,
-                                    reason="compiled kernels not built")
-
 F = Fraction
-MULS = (kernels._mul_terms_py, kernels.mul_terms)
-
-
-def random_terms(rng, max_terms, max_weight):
-    out = {}
-    for _ in range(rng.randint(0, max_terms)):
-        w = rng.randint(0, max_weight)
-        lam = tuple(rng.choice(partitions_of(w)))
-        out[lam] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return out
 
 
 def test_backend_name_is_available():
-    assert kernels.backend_name() == ("python" if _speedups is None else "c")
+    assert kernels.backend_name() == "python"
 
 
 def test_mul_respects_limit():
     a = {(2,): Fraction(1), (1,): Fraction(1)}
     b = {(2,): Fraction(1)}
-    for mul in MULS:
-        assert mul(a, b, 3) == {(2, 1): Fraction(1)}
-        assert mul(a, b, 1) == {}
-        assert mul({}, b, 9) == {}
+    assert kernels.mul_terms(a, b, 3) == {(2, 1): Fraction(1)}
+    assert kernels.mul_terms(a, b, 1) == {}
+    assert kernels.mul_terms({}, b, 9) == {}
 
 
 def test_mul_cancellation_drops_zeros():
     a = {(1,): Fraction(1), (): Fraction(1)}
     b = {(1,): Fraction(-1), (): Fraction(1)}
     # (1 + p1)(1 - p1) = 1 - p1^2
-    for mul in MULS:
-        assert mul(a, b, 2) == {(): Fraction(1), (1, 1): Fraction(-1)}
+    assert kernels.mul_terms(a, b, 2) == {(): Fraction(1), (1, 1): Fraction(-1)}
 
 
 TERM_MAPS = st.dictionaries(
@@ -69,20 +47,35 @@ def test_kron_and_scalar_match_definition(a, b):
     assert total == sum(products.values(), F(0))
 
 
-@needs_speedups
-def test_compiled_mul_matches_reference_on_random_inputs():
-    rng = random.Random(2024)
-    for _ in range(300):
-        a = random_terms(rng, 12, 8)
-        b = random_terms(rng, 12, 8)
-        limit = rng.randint(0, 10)
-        assert kernels._mul_terms_py(a, b, limit) == _speedups.mul_terms(a, b, limit)
+def mul_by_definition(a: dict, b: dict, limit: int) -> dict:
+    """The distributive product: a Fraction sum over all pairs, each key
+    merged by sorting its parts."""
+    acc: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if sum(ka) + sum(kb) <= limit:
+                key = tuple(sorted(ka + kb, reverse=True))
+                acc[key] = acc.get(key, F(0)) + ca * cb
+    return {k: c for k, c in acc.items() if c}
 
 
-@needs_speedups
-def test_compiled_mul_matches_reference_on_dense_series():
-    from symkron import expand
-
-    for tag in ("H", "S", "G", "Modd"):
-        t = expand(tag, 10).terms
-        assert kernels._mul_terms_py(t, t, 10) == _speedups.mul_terms(t, t, 10)
+@settings(max_examples=200, deadline=None)
+@given(TERM_MAPS, TERM_MAPS, st.integers(0, 10))
+@example({(): F(1)}, {(): F(-2, 3), (1,): F(1)}, 0)
+# keys above the limit, in either input, contribute nothing
+@example({(5,): F(1), (1,): F(1, 2)}, {(1,): F(3)}, 3)
+@example({(1,): F(3)}, {(2, 2): F(1), (): F(1, 7)}, 3)
+@example({}, {(1,): F(1)}, 5)
+@example({(1,): F(1)}, {}, 5)
+# (1 + p1)(1 - p1) truncated at weight 1 is 1: the p1 terms cancel
+@example({(1,): F(1), (): F(1)}, {(1,): F(-1), (): F(1)}, 1)
+# a part-1 multiplicity equal to the limit fills its field exactly, with
+# the limit one below a power of two (3 = 0b11) and at one (4 = 0b100)
+@example({(1, 1): F(1, 2)}, {(1,): F(3)}, 3)
+@example({(1, 1, 1): F(1, 2)}, {(1,): F(3), (2,): F(5)}, 4)
+@example({(1,) * 3: F(-1, 3)}, {(1,) * 4: F(2), (2,): F(1)}, 7)
+@example({(1,) * 3: F(-1, 3)}, {(1,) * 5: F(2), (3,): F(1)}, 8)
+def test_mul_matches_definition(a, b, limit):
+    product = kernels.mul_terms(a, b, limit)
+    assert product == mul_by_definition(a, b, limit)
+    assert all(type(c) is Fraction for c in product.values())

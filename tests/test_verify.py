@@ -130,6 +130,13 @@ def test_run_suite_targets_partition_the_whole_suite():
         run_suite(4, "tabel")
 
 
+def test_run_suite_rejects_negative_degree():
+    for what in ("table", "intro", "support", "factors", "all"):
+        with pytest.raises(ValueError, match="non-negative") as info:
+            run_suite(-3, what)
+        assert "--degree" not in str(info.value), what
+
+
 def test_graded_slices_of_verified_entries():
     # a passing whole-series check implies the per-degree identities
     degree = 6
