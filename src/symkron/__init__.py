@@ -16,10 +16,8 @@ from symkron.series import (
     Coefficient,
     SymFunc,
     exp_series,
-    log_series,
 )
 from symkron.bases import (
-    CharacterTable,
     character,
     character_table,
     from_p,
@@ -31,7 +29,6 @@ from symkron.products import (
     kron_factor,
     kronecker,
     kronecker_coefficient,
-    kronecker_nary,
     plethysm,
     scalar_product,
 )
@@ -76,7 +73,6 @@ def clear_caches() -> None:
 __all__ = [
     "BASES",
     "BasisError",
-    "CharacterTable",
     "Coefficient",
     "Discrepancy",
     "FactorizedSeries",
@@ -101,9 +97,7 @@ __all__ = [
     "kron_factor",
     "kronecker",
     "kronecker_coefficient",
-    "kronecker_nary",
     "kronecker_product_form",
-    "log_series",
     "partitions_of",
     "plethysm",
     "run_suite",

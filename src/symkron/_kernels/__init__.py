@@ -1,16 +1,17 @@
 """The exact-arithmetic kernels for sparse series in power-sum coordinates.
 
-Term maps are dicts keyed by weakly decreasing integer tuples with
-``fractions.Fraction`` values.  Each kernel exists once, in Python, and
-computes on Python ints: ``mul_terms`` and ``scalar_terms`` bring each input
-over one common denominator, ``kron_terms`` multiplies numerators and
-denominators apart, and only the results become ``Fraction`` objects.
+Term maps are dicts keyed by ``Partition`` (weakly decreasing integer
+tuples) with ``fractions.Fraction`` values, and every key of a result is a
+``Partition``.  Each kernel exists once, in Python, and computes on Python
+ints: ``mul_terms`` and ``scalar_terms`` bring each input over one common
+denominator, ``kron_terms`` multiplies numerators and denominators apart,
+and only the results become ``Fraction`` objects.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from symkron.partitions import z
+from symkron.partitions import Partition, z
 
 
 def backend_name() -> str:
@@ -43,7 +44,7 @@ def mul_terms(a: dict, b: dict, limit: int) -> dict:
     codes.  Keys above the limit are dropped before coding, and every merged
     key weighs at most ``limit``, so no multiplicity (at most ``limit``)
     overflows its field.  An output key equal to an input key is that key;
-    any other is decoded once.
+    any other is decoded once, into a ``Partition``.
     """
     shift = limit.bit_length()
     unit = [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
@@ -74,7 +75,7 @@ def mul_terms(a: dict, b: dict, limit: int) -> dict:
                 code >>= shift
                 part += 1
             parts.reverse()
-            key = tuple(parts)
+            key = Partition(parts)
         out[key] = Fraction(v, den)
     return out
 

@@ -30,7 +30,6 @@ are safe (a duplicated computation stores the same value twice);
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -93,21 +92,11 @@ def _strip_sum(lam: tuple, mu: tuple) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """All character values chi^lam(mu) for lam, mu partitions of n."""
-
-    n: int
-    values: dict
-
-    def __getitem__(self, key) -> int:
-        lam, mu = key
-        return self.values[(Partition(lam), Partition(mu))]
-
-
-def character_table(n: int) -> CharacterTable:
+def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
+    """All character values chi^lam(mu) for lam, mu partitions of n, keyed
+    by (lam, mu)."""
     lams = partitions_of(n)
-    return CharacterTable(n, {(l, m): character(l, m) for l in lams for m in lams})
+    return {(l, m): character(l, m) for l in lams for m in lams}
 
 
 # ------------------------------------------------------- character columns
@@ -169,18 +158,18 @@ def _omega(terms: dict) -> dict:
 @functools.cache
 def _h_in_p(n: int) -> dict:
     if n == 0:
-        return {(): _ONE}
+        return {Partition(): _ONE}
     acc: dict = {}
     for k in range(1, n + 1):
         for key, c in _h_in_p(n - k).items():
-            nk = tuple(sorted(key + (k,), reverse=True))
+            nk = Partition(sorted(key + (k,), reverse=True))
             acc[nk] = acc.get(nk, _ZERO) + c
     return {key: c / n for key, c in acc.items()}
 
 
 @functools.cache
 def _hlam_in_p(lam: tuple) -> dict:
-    out = {(): _ONE}
+    out = {Partition(): _ONE}
     weight = sum(lam)
     for part in lam:
         out = kernels.mul_terms(out, _h_in_p(part), weight)
@@ -201,14 +190,14 @@ def _s_in_p(lam: tuple) -> dict:
 
 
 @functools.cache
-def _m_in_p_all(n: int) -> dict[tuple, dict]:
+def _m_in_p_all(n: int) -> dict[Partition, dict]:
     """p-expansions of every m_lam with lam a partition of n.
 
     By duality, [p_mu] m_lam = <m_lam, p_mu> / z(mu) = [h_lam] p_mu / z(mu),
     so the h peel of each p_mu, transposed, gives every m_lam at once.
     """
-    lams = [tuple(lam) for lam in partitions_of(n)]
-    out: dict[tuple, dict] = {lam: {} for lam in lams}
+    lams = partitions_of(n)
+    out: dict[Partition, dict] = {lam: {} for lam in lams}
     for mu in lams:
         zmu = z(mu)
         for lam, c in _extract_weight({mu: _ONE}, n, "h").items():
@@ -244,9 +233,9 @@ def to_p(f: SymFunc) -> SymFunc:
         return f
     # e_lam = omega(h_lam), and omega is linear: expand as h, then twist.
     basis = "h" if f.basis == "e" else f.basis
-    out: dict[tuple, Fraction] = {}
+    out: dict[Partition, Fraction] = {}
     for lam, c in f.terms.items():
-        for mu, d in _basis_element_in_p(basis, tuple(lam)).items():
+        for mu, d in _basis_element_in_p(basis, lam).items():
             s = out.get(mu, _ZERO) + c * d
             if s:
                 out[mu] = s
@@ -254,7 +243,7 @@ def to_p(f: SymFunc) -> SymFunc:
                 del out[mu]
     if f.basis == "e":
         out = _omega(out)
-    return SymFunc("p", out, f.degree)
+    return SymFunc._of("p", out, f.degree)
 
 
 def from_p(f: SymFunc, target: str) -> SymFunc:
@@ -272,15 +261,15 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
         raise BasisError("from_p expects a p-basis input")
     if target == "p":
         return f
-    out: dict[tuple, Fraction] = {}
+    out: dict[Partition, Fraction] = {}
     for n in f.weights():
-        piece = {tuple(k): c for k, c in f.terms.items() if k.weight == n}
+        piece = {k: c for k, c in f.terms.items() if k.weight == n}
         out.update(_extract_weight(piece, n, target))
-    return SymFunc(target, out, f.degree)
+    return SymFunc._of(target, out, f.degree)
 
 
 def _extract_weight(piece: dict, n: int, target: str) -> dict:
-    out: dict[tuple, Fraction] = {}
+    out: dict[Partition, Fraction] = {}
     if target == "s":
         # Over one common denominator the column sums are integer sums.
         denom = lcm(*(c.denominator for c in piece.values()))
@@ -294,7 +283,7 @@ def _extract_weight(piece: dict, n: int, target: str) -> dict:
             if v:
                 out[lam] = Fraction(v, denom)
         return out
-    lams = [tuple(lam) for lam in partitions_of(n)]
+    lams = partitions_of(n)
     if target == "m":
         # [m_lam] f = <f, h_lam> by duality.
         for lam in lams:
@@ -335,7 +324,7 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
     """
     if n < 1:
         raise ValueError("weight must be at least 1")
-    lams = [tuple(lam) for lam in partitions_of(n)]
+    lams = partitions_of(n)
     m_in_p = _m_in_p_all(n)
     gram = {
         (a, b): kernels.scalar_terms(m_in_p[a], m_in_p[b])
@@ -356,7 +345,7 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
     vectors: list[dict] = []
     result: dict[Partition, SymFunc] = {}
     for lam in lams:
-        v: dict[tuple, Fraction] = {lam: _ONE}
+        v: dict[Partition, Fraction] = {lam: _ONE}
         for w in vectors:
             coeff = pairing(v, w) / pairing(w, w)
             if coeff:
@@ -367,5 +356,5 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
                     elif b in v:
                         del v[b]
         vectors.append(v)
-        result[Partition(lam)] = SymFunc("m", v, n)
+        result[lam] = SymFunc._of("m", v, n)
     return result

@@ -176,12 +176,16 @@ def factor(tag, n: int, order: int) -> UnivariateFactor:
     tag = NamedSeries.from_tag(tag)
     if n < 1:
         raise ValueError("variable index must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be non-negative")
     return UnivariateFactor(n, poly_exp(_factor_exponent(tag, n, order), order))
 
 
 def factorize(tag, degree: int) -> FactorizedSeries:
     """Per-variable factorization: factor at n is exp of the univariate
     exponent, truncated in k at degree // n.  Trivial factors are omitted."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
     tag = NamedSeries.from_tag(tag)
     factors = {}
     for n in range(1, degree + 1):

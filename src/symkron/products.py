@@ -46,18 +46,7 @@ def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
     out = kernels.kron_terms(fp.terms, gp.terms)
     if fp.degree != gp.degree:
         out = {k: c for k, c in out.items() if sum(k) <= degree}
-    return SymFunc("p", out, degree)
-
-
-def kronecker_nary(fs) -> SymFunc:
-    """Left fold of the Kronecker product (associative, so order is moot)."""
-    fs = list(fs)
-    if not fs:
-        raise ValueError("kronecker_nary needs at least one series")
-    result = bases.to_p(fs[0])
-    for g in fs[1:]:
-        result = kronecker(result, g)
-    return result
+    return SymFunc._of("p", out, degree)
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -82,18 +71,18 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
         cached = dilated.get(m)
         if cached is None:
             cached = {
-                tuple(m * p for p in key): c
+                Partition(m * p for p in key): c
                 for key, c in g.terms.items()
                 if m * sum(key) <= degree
             }
             dilated[m] = cached
         return cached
 
-    out: dict[tuple, Fraction] = {}
+    out: dict[Partition, Fraction] = {}
     for lam, c in fp.terms.items():
         if lam.weight > degree:
             continue  # every part of g has degree >= 1
-        acc = {(): _ONE}
+        acc = {Partition(): _ONE}
         for m in lam:
             acc = kernels.mul_terms(acc, dilate(m), degree)
             if not acc:
@@ -104,7 +93,7 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
                 out[key] = s
             elif key in out:
                 del out[key]
-    return SymFunc("p", out, degree)
+    return SymFunc._of("p", out, degree)
 
 
 # ----------------------------------------------------- univariate factors
@@ -121,8 +110,10 @@ class UnivariateFactor:
     coeffs: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:  # bool is an int subclass
             raise ValueError("variable index must be a positive integer")
+        if any(isinstance(c, float) for c in self.coeffs):
+            raise TypeError("coefficients must be exact rationals, not floats")
         coeffs = tuple(Fraction(c) for c in self.coeffs)
         if not coeffs:
             coeffs = (_ZERO,)

@@ -9,6 +9,14 @@ so everything is exact and canonical (lowest terms, positive denominator).
 
 Values are immutable by convention: operations return new objects, and the
 ``terms`` dict of an existing value must never be mutated.
+
+Validation happens once, at the boundary.  The public constructor, the
+``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key
+and coefficient.  Every value then meets the invariant: ``Partition`` keys,
+nonzero ``Fraction`` values and weights at most the degree.  Operations on
+values that meet it build their results through the trusted ``_of``, which
+only assigns fields; so every producer of terms (the kernels and the
+conversion tables included) emits ``Partition`` keys itself.
 """
 
 from __future__ import annotations
@@ -68,6 +76,20 @@ class SymFunc:
         self.basis = basis
         self.terms = clean
         self.degree = degree
+
+    @classmethod
+    def _of(cls, basis: str, terms: dict, degree: int) -> "SymFunc":
+        """Trusted constructor: assigns the fields without checking them.
+
+        Only for terms that already meet the invariant (``Partition`` keys,
+        nonzero ``Fraction`` values, weights at most ``degree``), such as
+        the results of operations on valid values.
+        """
+        f = object.__new__(cls)
+        f.basis = basis
+        f.terms = terms
+        f.degree = degree
+        return f
 
     # ------------------------------------------------------------ builders
 
@@ -143,7 +165,7 @@ class SymFunc:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return SymFunc(self.basis, out, degree)
+        return SymFunc._of(self.basis, out, degree)
 
     def __neg__(self):
         return self.scale(-1)
@@ -159,8 +181,8 @@ class SymFunc:
             raise TypeError("coefficients must be exact rationals, not floats")
         c = Fraction(c)
         if not c:
-            return SymFunc.zero(self.basis, self.degree)
-        return SymFunc(self.basis, {k: c * v for k, v in self.terms.items()}, self.degree)
+            return SymFunc._of(self.basis, {}, self.degree)
+        return SymFunc._of(self.basis, {k: c * v for k, v in self.terms.items()}, self.degree)
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
@@ -171,7 +193,8 @@ class SymFunc:
                     f"convert {self.basis!r} inputs to p first"
                 )
             degree = min(self.degree, other.degree)
-            return SymFunc(self.basis, kernels.mul_terms(self.terms, other.terms, degree), degree)
+            return SymFunc._of(self.basis, kernels.mul_terms(self.terms, other.terms, degree),
+                               degree)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -189,18 +212,20 @@ class SymFunc:
         d may not exceed the current truncation degree: terms beyond it are
         unknown, not zero.
         """
+        if type(d) is not int or d < 0:  # bool is an int subclass
+            raise ValueError(f"truncation degree must be a non-negative integer: {d!r}")
         if d > self.degree:
             raise ValueError(f"cannot raise truncation degree from {self.degree} to {d}")
         if d == self.degree:
             return self
-        return SymFunc(self.basis, {k: c for k, c in self.terms.items() if k.weight <= d}, d)
+        return SymFunc._of(self.basis, {k: c for k, c in self.terms.items() if k.weight <= d}, d)
 
     def graded_component(self, n: int) -> "SymFunc":
         """The homogeneous slice of weight exactly n (degree tag unchanged)."""
         if n < 0 or n > self.degree:
             raise ValueError(f"weight {n} outside the truncated range 0..{self.degree}")
-        return SymFunc(self.basis, {k: c for k, c in self.terms.items() if k.weight == n},
-                       self.degree)
+        return SymFunc._of(self.basis, {k: c for k, c in self.terms.items() if k.weight == n},
+                           self.degree)
 
     # ------------------------------------------------------------- JSON IO
 
@@ -269,24 +294,4 @@ def exp_series(f: SymFunc) -> SymFunc:
     result = one
     for k in range(f.degree, 0, -1):
         result = one + (f * result).scale(Fraction(1, k))
-    return result
-
-
-def log_series(f: SymFunc) -> SymFunc:
-    """Inverse of exp_series, defined for constant term exactly 1:
-    log(1+g) = g - g^2/2 + g^3/3 - ..., truncated."""
-    if f.basis != "p":
-        raise BasisError("log_series expects the p basis")
-    if f.constant_term != 1:
-        raise ValueError("log_series needs constant term exactly 1")
-    g = f - SymFunc.one("p", f.degree)
-    power = SymFunc.one("p", f.degree)
-    result = SymFunc.zero("p", f.degree)
-    sign = 1
-    for k in range(1, f.degree + 1):
-        power = power * g
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction(sign, k))
-        sign = -sign
     return result

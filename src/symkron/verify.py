@@ -115,7 +115,7 @@ def first_difference(lhs: SymFunc, rhs: SymFunc) -> Optional[Discrepancy]:
         a = lhs.coefficient(key)
         b = rhs.coefficient(key)
         if a != b:
-            return Discrepancy(Partition(key), a, b)
+            return Discrepancy(key, a, b)
     return None
 
 
@@ -126,19 +126,26 @@ def _report(identity: str, degree: int, started: float,
     return VerificationReport(identity, degree, status, disc, millis)
 
 
-def verify_table_entry(a, b, degree: int) -> VerificationReport:
-    """Check one table entry: kronecker(expand(a), expand(b)) against the
-    product of the expected named series, exactly, degree by degree."""
-    a = NamedSeries.from_tag(a)
-    b = NamedSeries.from_tag(b)
-    rhs_tags = expected_product(a, b)
-    identity = f"{a.value}⊗{b.value}={'·'.join(t.value for t in rhs_tags)}"
+def _compare_product(identity: str, a: NamedSeries, b: NamedSeries,
+                     rhs_tags: tuple, degree: int) -> VerificationReport:
+    """kronecker(expand(a), expand(b)) against the product of the rhs series,
+    exactly, degree by degree."""
     started = time.perf_counter()
     lhs = kronecker(named.expand(a, degree), named.expand(b, degree))
     rhs = named.expand(rhs_tags[0], degree)
     for tag in rhs_tags[1:]:
         rhs = rhs * named.expand(tag, degree)
     return _report(identity, degree, started, first_difference(lhs, rhs))
+
+
+def verify_table_entry(a, b, degree: int) -> VerificationReport:
+    """Check one table entry: kronecker(expand(a), expand(b)) against the
+    product of the expected named series."""
+    a = NamedSeries.from_tag(a)
+    b = NamedSeries.from_tag(b)
+    rhs_tags = expected_product(a, b)
+    identity = f"{a.value}⊗{b.value}={'·'.join(t.value for t in rhs_tags)}"
+    return _compare_product(identity, a, b, rhs_tags, degree)
 
 
 def verify_intro_identity(degree: int) -> VerificationReport:
@@ -148,10 +155,7 @@ def verify_intro_identity(degree: int) -> VerificationReport:
     because it is stated independently; the redundancy is cheap and guards
     against table transcription slips.
     """
-    started = time.perf_counter()
-    lhs = kronecker(named.expand(_S, degree), named.expand(_S, degree))
-    rhs = named.expand(_MODD, degree) * named.expand(_G, degree)
-    return _report("intro:S⊗S=Modd·G", degree, started, first_difference(lhs, rhs))
+    return _compare_product("intro:S⊗S=Modd·G", _S, _S, (_MODD, _G), degree)
 
 
 def _parity_support(degree: int, conjugated: bool) -> SymFunc:
@@ -238,28 +242,18 @@ def run_suite(degree: int, what: str = "all") -> list[VerificationReport]:
     The degree must be non-negative."""
     if degree < 0:
         raise ValueError(f"verify degree must be non-negative, got {degree}")
-    jobs = [("table", a, b) for a, b in table_pairs()]
-    jobs.append(("intro",))
-    jobs.append(("support",))
-    jobs.extend(("factors", n) for n in range(1, 5))
-    if what != "all":
-        jobs = [job for job in jobs if job[0] == what]
-        if not jobs:
-            raise ValueError(f"unknown verify target {what!r}")
-    return [_run_job(job, degree) for job in jobs]
-
-
-def _run_job(job: tuple, degree: int) -> VerificationReport:
-    kind = job[0]
-    if kind == "table":
-        return verify_table_entry(job[1], job[2], degree)
-    if kind == "intro":
-        return verify_intro_identity(degree)
-    if kind == "support":
-        return verify_support_claims(degree)
-    if kind == "factors":
-        return verify_factor_closed_forms(job[1], max(1, degree))
-    raise ValueError(f"unknown job {job!r}")
+    targets = {
+        "table": lambda: [verify_table_entry(a, b, degree) for a, b in table_pairs()],
+        "intro": lambda: [verify_intro_identity(degree)],
+        "support": lambda: [verify_support_claims(degree)],
+        "factors": lambda: [verify_factor_closed_forms(n, max(1, degree))
+                            for n in range(1, 5)],
+    }
+    if what == "all":
+        return [report for run in targets.values() for report in run()]
+    if what not in targets:
+        raise ValueError(f"unknown verify target {what!r}")
+    return targets[what]()
 
 
 def suite_exit_status(reports) -> int:

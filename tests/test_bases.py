@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import symkron
 from conftest import random_symfunc
 from symkron.bases import (
-    CharacterTable,
     character,
     character_table,
     from_p,
@@ -117,8 +116,9 @@ def test_column_orthogonality():
 
 def test_character_table_object():
     table = character_table(4)
-    assert isinstance(table, CharacterTable)
-    assert table.n == 4
+    lams = partitions_of(4)
+    assert list(table) == [(l, m) for l in lams for m in lams]
+    assert all(type(l) is Partition and type(m) is Partition for l, m in table)
     assert table[(2, 2), (3, 1)] == -1
     for lam in partitions_of(4):
         assert table[lam, (1, 1, 1, 1)] > 0

@@ -130,16 +130,20 @@ def test_product_form_matches_direct_kronecker():
 
 def test_triple_kronecker_power_is_order_independent():
     # no closed form is asserted for S(x)S(x)S; only self-consistency
-    from symkron.products import kronecker_nary
-
     s = expand("S", 6)
     m = expand("Modd", 6)
-    triple = kronecker_nary([s, s, s])
-    assert triple == kronecker(kronecker(s, s), s)
-    assert triple == kronecker(s, kronecker(s, s))
-    assert kronecker_nary([s, m, s]) == kronecker_nary([s, s, m])
+    assert kronecker(kronecker(s, s), s) == kronecker(s, kronecker(s, s))
+    assert kronecker(kronecker(s, m), s) == kronecker(kronecker(s, s), m)
 
 
 def test_expand_rejects_negative_degree():
     with pytest.raises(ValueError):
         expand("H", -1)
+
+
+def test_factor_and_factorize_reject_negative_order():
+    # factor used to return an order-0 factor, factorize a degree -3 product
+    with pytest.raises(ValueError, match="order"):
+        factor("S", 2, -1)
+    with pytest.raises(ValueError, match="degree"):
+        factorize("S", -3)

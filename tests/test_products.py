@@ -12,7 +12,6 @@ from symkron.products import (
     kron_factor,
     kronecker,
     kronecker_coefficient,
-    kronecker_nary,
     plethysm,
     poly_exp,
     poly_mul,
@@ -132,14 +131,13 @@ def test_scalar_product_uses_all_stored_terms():
     assert scalar_product(f, g) == 1 * 1 * 1 + 1 * 2 * 3
 
 
-def test_kronecker_nary():
+def test_nested_kronecker():
     f = SymFunc.single("h", (2,), 2)
-    assert kronecker_nary([f]) == to_p(f)
     e2 = SymFunc.single("e", (2,), 2)
-    assert kronecker_nary([f, f, e2]) == to_p(e2)
-    assert kronecker_nary([p((2,), 2)] * 3) == p((2,), 2, 4)
-    with pytest.raises(ValueError):
-        kronecker_nary([])
+    assert kronecker(kronecker(f, f), e2) == to_p(e2)
+    assert kronecker(f, kronecker(f, e2)) == to_p(e2)
+    p2 = p((2,), 2)
+    assert kronecker(kronecker(p2, p2), p2) == p((2,), 2, 4)
 
 
 # ------------------------------------------------------------------ plethysm
@@ -207,6 +205,16 @@ def test_factor_order_and_embedding():
 def test_factor_validation():
     with pytest.raises(ValueError):
         UnivariateFactor(0, (1,))
+    with pytest.raises(ValueError):
+        UnivariateFactor(True, (1,))
+
+
+def test_factor_rejects_float_coefficients():
+    # Fraction(0.1) used to store 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="not floats"):
+        UnivariateFactor(1, (0.5, 0.1))
+    with pytest.raises(TypeError, match="not floats"):
+        UnivariateFactor(2, (1, 1.0))
 
 
 def test_kron_factor_weights():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_symfunc
-from symkron.series import BasisError, SymFunc, exp_series, log_series
+from symkron.series import BasisError, SymFunc, exp_series
 
 F = Fraction
 
@@ -144,11 +144,18 @@ def test_coefficients_stay_canonical():
                 assert math.gcd(c.numerator, c.denominator) == 1
 
 
-# ------------------------------------------------------------------ exp/log
+# ---------------------------------------------------------------------- exp
 
 def test_exp_of_p1():
     got = exp_series(p((1,), 3))
     assert got == SymFunc("p", {(): 1, (1,): 1, (1, 1): F(1, 2), (1, 1, 1): F(1, 6)}, 3)
+
+
+def test_exp_of_mercator_series():
+    # exp(p1 + p1^2/2 + p1^3/3) = 1/(1 - p1), truncated at degree 3
+    mercator = SymFunc("p", {(1,): 1, (1, 1): F(1, 2), (1, 1, 1): F(1, 3)}, 3)
+    geometric = SymFunc("p", {(): 1, (1,): 1, (1, 1): 1, (1, 1, 1): 1}, 3)
+    assert exp_series(mercator) == geometric
 
 
 def test_exp_of_zero():
@@ -171,28 +178,6 @@ def test_exp_rejects_constant_term():
         exp_series(SymFunc.single("h", (1,), 3))
 
 
-def test_log_of_one():
-    assert log_series(SymFunc.one("p", 4)).is_zero()
-
-
-def test_log_exp_round_trip_single_term():
-    f = p((2,), 6)
-    assert log_series(exp_series(f)) == f
-
-
-def test_log_mercator():
-    geometric = SymFunc("p", {(): 1, (1,): 1, (1, 1): 1, (1, 1, 1): 1}, 3)
-    expected = SymFunc("p", {(1,): 1, (1, 1): F(1, 2), (1, 1, 1): F(1, 3)}, 3)
-    assert log_series(geometric) == expected
-
-
-def test_log_rejects_wrong_constant_term():
-    with pytest.raises(ValueError):
-        log_series(SymFunc.zero("p", 3))
-    with pytest.raises(ValueError):
-        log_series(SymFunc("p", {(): 2}, 3))
-
-
 def test_exp_is_a_homomorphism():
     rng = random.Random(7)
     for _ in range(10):
@@ -200,16 +185,6 @@ def test_exp_is_a_homomorphism():
         f = random_symfunc(rng, "p", degree, constant_free=True)
         g = random_symfunc(rng, "p", degree, constant_free=True)
         assert exp_series(f + g) == exp_series(f) * exp_series(g)
-
-
-def test_exp_log_round_trips():
-    rng = random.Random(8)
-    one = lambda d: SymFunc.one("p", d)
-    for _ in range(10):
-        degree = rng.randint(0, 8)
-        f = random_symfunc(rng, "p", degree, constant_free=True)
-        assert log_series(exp_series(f)) == f
-        assert exp_series(log_series(one(degree) + f)) == one(degree) + f
 
 
 # --------------------------------------------------------------- truncation
@@ -225,6 +200,9 @@ def test_truncate_examples():
 def test_truncate_cannot_extend():
     with pytest.raises(ValueError):
         SymFunc.one("p", 2).truncate(3)
+    for bad in (-1, True):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            SymFunc.one("p", 2).truncate(bad)
 
 
 def test_graded_component():
