@@ -1,13 +1,16 @@
 """Conversions between the classical bases and the power-sum coordinates.
 
 The p basis is the canonical coordinate system; every conversion routes
-through it, and one table of h_lam over p serves h, e and m:
+through it.  h and p are multiplicative: a table per single part, multiplied
+out, serves each direction, and the two tables serve h, e and m:
 
-* h by the Newton recurrence  n h_n = sum_{k=1..n} p_k h_{n-k};
+* h -> p is the Newton product: h_n by  n h_n = sum_{k=1..n} p_k h_{n-k};
+* p -> h is the closed-form product: p_n = sum over lam of
+  (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam;
 * e as omega(h): the involution omega sends h_lam to e_lam and acts on
   power sums as p_mu -> (-1)^(|mu| - len(mu)) p_mu;
-* m by the duality <m_lam, h_mu> = delta, so [m_lam] f = <f, h_lam> and
-  [p_mu] m_lam = [h_lam] p_mu / z(mu);
+* m by the duality <m_lam, h_mu> = delta: [m_lam] f = <f, h_lam>, and
+  m -> p is the transposed p -> h table, [p_mu] m_lam = [h_lam] p_mu / z(mu);
 * s by symmetric-group characters.
 
 Characters come by two independent routes, both Murnaghan-Nakayama:
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
@@ -148,7 +151,7 @@ def _column(mu: tuple) -> dict[int, int]:
     return {k: v for k, v in acc.items() if v}
 
 
-# --------------------------------------------------- basis elements over p
+# ------------------------------------------------- change-of-basis tables
 
 def _omega(terms: dict) -> dict:
     """The involution omega over p: p_mu -> (-1)^(|mu| - len(mu)) p_mu."""
@@ -168,12 +171,26 @@ def _h_in_p(n: int) -> dict:
 
 
 @functools.cache
-def _hlam_in_p(lam: tuple) -> dict:
+def _p_in_h(n: int) -> dict:
+    """p_n = sum over lam of (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam,
+    with m_i(lam) the multiplicity of i in lam; every coefficient is an integer."""
+    return {lam: Fraction((-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1),
+                          prod(map(factorial, lam.multiplicities().values())))
+            for lam in partitions_of(n)}
+
+
+def _product(table, lam: tuple) -> dict:
+    """prod_i table(lam_i), multiplied out."""
     out = {Partition(): _ONE}
     weight = sum(lam)
     for part in lam:
-        out = kernels.mul_terms(out, _h_in_p(part), weight)
+        out = kernels.mul_terms(out, table(part), weight)
     return out
+
+
+#: h_lam over p and p_mu over h, each a product of its single-part table.
+_hlam_in_p = functools.cache(functools.partial(_product, _h_in_p))
+_plam_in_h = functools.cache(functools.partial(_product, _p_in_h))
 
 
 @functools.cache
@@ -194,53 +211,52 @@ def _m_in_p_all(n: int) -> dict[Partition, dict]:
     """p-expansions of every m_lam with lam a partition of n.
 
     By duality, [p_mu] m_lam = <m_lam, p_mu> / z(mu) = [h_lam] p_mu / z(mu),
-    so the h peel of each p_mu, transposed, gives every m_lam at once.
+    so the p -> h table, transposed, gives every m_lam at once.
     """
-    lams = partitions_of(n)
-    out: dict[Partition, dict] = {lam: {} for lam in lams}
-    for mu in lams:
+    out: dict[Partition, dict] = {lam: {} for lam in partitions_of(n)}
+    for mu in partitions_of(n):
         zmu = z(mu)
-        for lam, c in _extract_weight({mu: _ONE}, n, "h").items():
+        for lam, c in _plam_in_h(mu).items():
             out[lam][mu] = c / zmu
     return out
 
 
-def _basis_element_in_p(basis: str, lam: tuple) -> dict:
-    if basis == "h":
-        return _hlam_in_p(lam)
-    if basis == "s":
-        return _s_in_p(lam)
-    return _m_in_p_all(sum(lam))[lam]
-
-
 def clear_caches() -> None:
     """Empty every memo of this module: the character memo of the oracle,
-    the character columns and the p-expansions of basis elements.
+    the character columns and the change-of-basis tables.
 
     Only for cold measurements and tests; values computed before stay
     valid, so the call is harmless apart from the recomputation it causes.
     """
     _char_cache.clear()
-    for memo in (_column, _weight_index, _h_in_p, _hlam_in_p, _s_in_p, _m_in_p_all):
+    for memo in (_column, _weight_index, _h_in_p, _hlam_in_p, _p_in_h, _plam_in_h,
+                 _s_in_p, _m_in_p_all):
         memo.cache_clear()
 
 
 # -------------------------------------------------------------- conversions
+
+def _change_basis(terms: dict, table) -> dict:
+    """sum over lam of terms[lam] * table(lam): one sparse change of basis."""
+    out: dict[Partition, Fraction] = {}
+    for lam, c in terms.items():
+        for mu, d in table(lam).items():
+            s = out.get(mu, _ZERO) + c * d
+            if s:
+                out[mu] = s
+            elif mu in out:
+                del out[mu]
+    return out
+
 
 def to_p(f: SymFunc) -> SymFunc:
     """Re-express f over the power sums; exact, same truncation degree."""
     if f.basis == "p":
         return f
     # e_lam = omega(h_lam), and omega is linear: expand as h, then twist.
-    basis = "h" if f.basis == "e" else f.basis
-    out: dict[Partition, Fraction] = {}
-    for lam, c in f.terms.items():
-        for mu, d in _basis_element_in_p(basis, lam).items():
-            s = out.get(mu, _ZERO) + c * d
-            if s:
-                out[mu] = s
-            elif mu in out:
-                del out[mu]
+    tables = {"h": _hlam_in_p, "e": _hlam_in_p, "s": _s_in_p,
+              "m": lambda lam: _m_in_p_all(lam.weight)[lam]}
+    out = _change_basis(f.terms, tables[f.basis])
     if f.basis == "e":
         out = _omega(out)
     return SymFunc._of("p", out, f.degree)
@@ -249,11 +265,11 @@ def to_p(f: SymFunc) -> SymFunc:
 def from_p(f: SymFunc, target: str) -> SymFunc:
     """Exact change of basis from p to the target basis.
 
-    m coefficients come straight from the scalar product (duality with h);
-    s coefficients sum the character columns of the input's cycle types
-    over one common denominator per weight; h coefficients by a per-degree
-    triangular solve against the h_lam, and e coefficients by the same
-    solve on omega(f), since omega(e_lam) = h_lam.
+    h coefficients multiply out the p -> h table, and e coefficients are the
+    h coefficients of omega(f), since omega(e_lam) = h_lam; m coefficients
+    come straight from the scalar product (duality with h); s coefficients
+    sum the character columns of the input's cycle types over one common
+    denominator per weight.
     """
     if target not in BASES:
         raise BasisError(f"unknown basis {target!r}; expected one of {BASES}")
@@ -261,55 +277,34 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
         raise BasisError("from_p expects a p-basis input")
     if target == "p":
         return f
+    if target in ("h", "e"):
+        terms = _omega(f.terms) if target == "e" else f.terms
+        return SymFunc._of(target, _change_basis(terms, _plam_in_h), f.degree)
+    pieces: dict[int, dict] = {}
+    for mu, c in f.terms.items():
+        pieces.setdefault(mu.weight, {})[mu] = c
     out: dict[Partition, Fraction] = {}
-    for n in f.weights():
-        piece = {k: c for k, c in f.terms.items() if k.weight == n}
-        out.update(_extract_weight(piece, n, target))
+    for n in sorted(pieces):
+        piece = pieces[n]
+        if target == "m":
+            # [m_lam] f = <f, h_lam> by duality.
+            for lam in partitions_of(n):
+                d = kernels.scalar_terms(piece, _hlam_in_p(lam))
+                if d:
+                    out[lam] = d
+        else:
+            # Over one common denominator the column sums are integer sums.
+            denom = lcm(*(c.denominator for c in piece.values()))
+            acc: dict[int, int] = {}
+            for mu, c in piece.items():
+                scale = c.numerator * (denom // c.denominator)
+                for mask, chi in _column(mu).items():
+                    acc[mask] = acc.get(mask, 0) + scale * chi
+            for lam, mask in _weight_index(n):
+                v = acc.get(mask)
+                if v:
+                    out[lam] = Fraction(v, denom)
     return SymFunc._of(target, out, f.degree)
-
-
-def _extract_weight(piece: dict, n: int, target: str) -> dict:
-    out: dict[Partition, Fraction] = {}
-    if target == "s":
-        # Over one common denominator the column sums are integer sums.
-        denom = lcm(*(c.denominator for c in piece.values()))
-        acc: dict[int, int] = {}
-        for mu, c in piece.items():
-            scale = c.numerator * (denom // c.denominator)
-            for mask, chi in _column(mu).items():
-                acc[mask] = acc.get(mask, 0) + scale * chi
-        for lam, mask in _weight_index(n):
-            v = acc.get(mask)
-            if v:
-                out[lam] = Fraction(v, denom)
-        return out
-    lams = partitions_of(n)
-    if target == "m":
-        # [m_lam] f = <f, h_lam> by duality.
-        for lam in lams:
-            d = kernels.scalar_terms(piece, _hlam_in_p(lam))
-            if d:
-                out[lam] = d
-        return out
-    # h, and e on omega(f): peel the lexicographically largest remaining
-    # term; h_lam only involves p_mu with mu <= lam, with nonzero diagonal.
-    residual = _omega(piece) if target == "e" else dict(piece)
-    for lam in reversed(lams):
-        c = residual.get(lam)
-        if not c:
-            continue
-        row = _hlam_in_p(lam)
-        d = c / row[lam]
-        out[lam] = d
-        for mu, r in row.items():
-            s = residual.get(mu, _ZERO) - d * r
-            if s:
-                residual[mu] = s
-            elif mu in residual:
-                del residual[mu]
-    if any(residual.values()):
-        raise ArithmeticError(f"triangular extraction left a residue at weight {n}")
-    return out
 
 
 # ------------------------------------------------------------- Gram-Schmidt
@@ -322,8 +317,8 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
     and coincide with the character-expansion route.  Returned in the m
     basis, keyed by partition.
     """
-    if n < 1:
-        raise ValueError("weight must be at least 1")
+    if type(n) is not int or n < 1:  # bool is an int subclass
+        raise ValueError(f"weight must be a positive integer: {n!r}")
     lams = partitions_of(n)
     m_in_p = _m_in_p_all(n)
     gram = {

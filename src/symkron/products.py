@@ -17,7 +17,7 @@ from math import factorial
 from symkron import _kernels as kernels
 from symkron import bases
 from symkron.partitions import Partition, partitions_of, z
-from symkron.series import BasisError, SymFunc
+from symkron.series import BasisError, SymFunc, _exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,9 +112,7 @@ class UnivariateFactor:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 1:  # bool is an int subclass
             raise ValueError("variable index must be a positive integer")
-        if any(isinstance(c, float) for c in self.coeffs):
-            raise TypeError("coefficients must be exact rationals, not floats")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(map(_exact, self.coeffs))
         if not coeffs:
             coeffs = (_ZERO,)
         object.__setattr__(self, "coeffs", coeffs)

@@ -12,7 +12,8 @@ Values are immutable by convention: operations return new objects, and the
 
 Validation happens once, at the boundary.  The public constructor, the
 ``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key
-and coefficient.  Every value then meets the invariant: ``Partition`` keys,
+and coefficient: each partition once, each coefficient an ``int`` or a
+``Fraction``.  Every value then meets the invariant: ``Partition`` keys,
 nonzero ``Fraction`` values and weights at most the degree.  Operations on
 values that meet it build their results through the trusted ``_of``, which
 only assigns fields; so every producer of terms (the kernels and the
@@ -44,6 +45,16 @@ class BasisError(ValueError):
     """An operation was applied to an unsupported or mismatched basis."""
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; only an int (not a bool) or a Fraction is exact."""
+    if isinstance(c, Fraction):
+        return c
+    if type(c) is int:  # bool is an int subclass
+        return Fraction(c)
+    kind = "floats" if isinstance(c, float) else type(c).__name__
+    raise TypeError(f"coefficients must be exact rationals (int or Fraction), not {kind}")
+
+
 def term_order(lam) -> tuple:
     """Sort key for term listings: weight first, then lexicographic."""
     return (sum(lam), tuple(lam))
@@ -64,17 +75,14 @@ class SymFunc:
         for lam, c in items:
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
-            if not isinstance(c, Fraction):
-                if isinstance(c, float):
-                    raise TypeError("coefficients must be exact rationals, not floats")
-                c = Fraction(c)
-            if not c:
-                continue
-            if lam.weight > degree:
+            if lam in clean:
+                raise ValueError(f"partition {list(lam)} appears twice")
+            c = _exact(c)
+            if c and lam.weight > degree:
                 raise ValueError(f"term {lam!r} exceeds truncation degree {degree}")
             clean[lam] = c
         self.basis = basis
-        self.terms = clean
+        self.terms = {lam: c for lam, c in clean.items() if c}
         self.degree = degree
 
     @classmethod
@@ -177,9 +185,7 @@ class SymFunc:
 
     def scale(self, c) -> "SymFunc":
         """Multiply every coefficient by the rational c."""
-        if isinstance(c, float):
-            raise TypeError("coefficients must be exact rationals, not floats")
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return SymFunc._of(self.basis, {}, self.degree)
         return SymFunc._of(self.basis, {k: c * v for k, v in self.terms.items()}, self.degree)
@@ -222,8 +228,8 @@ class SymFunc:
 
     def graded_component(self, n: int) -> "SymFunc":
         """The homogeneous slice of weight exactly n (degree tag unchanged)."""
-        if n < 0 or n > self.degree:
-            raise ValueError(f"weight {n} outside the truncated range 0..{self.degree}")
+        if type(n) is not int or not 0 <= n <= self.degree:  # bool is an int subclass
+            raise ValueError(f"weight must be a non-negative integer <= {self.degree}: {n!r}")
         return SymFunc._of(self.basis, {k: c for k, c in self.terms.items() if k.weight == n},
                            self.degree)
 

@@ -225,11 +225,11 @@ def verify_factor_closed_forms(n: int, order: int) -> VerificationReport:
         # coefficient of x^k is (k+1) g_{k+1} - k g_{k-1}, checkable for
         # every k < order.
         for k in range(order):
-            residual = (k + 1) * g.coefficient(k + 1)
+            lhs = (k + 1) * g.coefficient(k + 1)
             if k >= 1:
-                residual -= k * g.coefficient(k - 1)
-            if residual:
-                disc = Discrepancy(Partition((n,) * k), residual, _ZERO)
+                lhs -= k * g.coefficient(k - 1)
+            if lhs:
+                disc = Discrepancy(Partition((n,) * k), lhs, _ZERO)
                 break
 
     return _report(identity, n * order, started, disc)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +225,22 @@ def test_h_evaluation_oracle():
                 comb(n + k - 1, n)
 
 
+def test_h_and_e_conversions_against_evaluation_oracle():
+    # at x_1 = ... = x_k = 1: p_mu -> k^len(mu), h_lam -> prod C(lam_i + k - 1, lam_i)
+    # and e_lam -> prod C(k, lam_i); the evaluations use no conversion table
+    rng = random.Random(101)
+    for _ in range(8):
+        f = random_symfunc(rng, "p", 8)
+        h = from_p(f, "h")
+        e = from_p(f, "e")
+        for k in (1, 2, 3, 5):
+            direct = sum(c * k ** len(lam) for lam, c in f.terms.items())
+            via_h = sum(c * prod(comb(part + k - 1, part) for part in lam)
+                        for lam, c in h.terms.items())
+            via_e = sum(c * prod(comb(k, part) for part in lam) for lam, c in e.terms.items())
+            assert direct == via_h == via_e
+
+
 # ----------------------------------------------------------- Schur layer
 
 def test_schur_orthonormality():
@@ -270,8 +286,9 @@ def test_gram_schmidt_vectors_have_unit_norm():
 
 
 def test_gram_schmidt_rejects_weight_zero():
-    with pytest.raises(ValueError):
-        schur_by_gram_schmidt(0)
+    for bad in (0, True, 1.5):
+        with pytest.raises(ValueError):
+            schur_by_gram_schmidt(bad)
 
 
 # -------------------------------------- conversions against the oracle route
@@ -338,6 +355,7 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
              for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
     assert {"symkron.bases._column", "symkron.bases._weight_index",
             "symkron.bases._h_in_p", "symkron.bases._hlam_in_p",
+            "symkron.bases._p_in_h", "symkron.bases._plam_in_h",
             "symkron.bases._s_in_p", "symkron.bases._m_in_p_all",
             "symkron.named._expand_cached",
             "symkron.partitions._partition_tuples"} <= memos.keys()

@@ -58,7 +58,7 @@ def test_validating_builders_establish_the_invariant():
     rng = random.Random(607)
     built = [
         SymFunc("p", {(2, 1): 3, (1,): Fraction(2, 4), (): 0}, 3),
-        SymFunc.single("s", (2, 1), 3, "1/2"),
+        SymFunc.single("s", (2, 1), 3, Fraction(1, 2)),
         SymFunc.one("h", 4),
         SymFunc.zero("m", 2),
         exponent("S", 8),

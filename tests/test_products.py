@@ -215,6 +215,9 @@ def test_factor_rejects_float_coefficients():
         UnivariateFactor(1, (0.5, 0.1))
     with pytest.raises(TypeError, match="not floats"):
         UnivariateFactor(2, (1, 1.0))
+    for bad in ("1e20000", True):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            UnivariateFactor(1, (1, bad))
 
 
 def test_kron_factor_weights():

@@ -56,6 +56,24 @@ def test_float_coefficients_rejected():
         SymFunc.one("p", 2).scale(0.5)
 
 
+def test_only_int_and_fraction_coefficients_accepted():
+    # "1e20000" used to be stored, and then to_json could not write it out
+    for bad in ("1e20000", "1/2", True, None):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            SymFunc("p", {(1,): bad}, 2)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            SymFunc.one("p", 2).scale(bad)
+    assert SymFunc("p", {(1,): 3, (2,): F(1, 2)}, 2).terms == {(1,): F(3), (2,): F(1, 2)}
+
+
+def test_repeated_partitions_rejected():
+    # the last value used to win, zero or not
+    for pairs in ([((1,), 1), ((1,), 2)], [((1,), 1), ((1,), 0)], [((), 0), ((), 0)]):
+        with pytest.raises(ValueError, match="appears twice"):
+            SymFunc("p", pairs, 2)
+    assert SymFunc("p", [((1,), 1), ((2,), 0)], 2).terms == {(1,): F(1)}
+
+
 def test_equality_includes_basis_and_degree():
     a = SymFunc("p", {(1,): 1}, 3)
     assert a == SymFunc("p", {(1,): 1}, 3)
@@ -214,6 +232,9 @@ def test_graded_component():
     assert h_series.graded_component(3).terms == newton_h(3)
     with pytest.raises(ValueError):
         f.graded_component(3)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            f.graded_component(bad)
 
 
 # --------------------------------------------------------------------- JSON
