@@ -237,16 +237,24 @@ def clear_caches() -> None:
 # -------------------------------------------------------------- conversions
 
 def _change_basis(terms: dict, table) -> dict:
-    """sum over lam of terms[lam] * table(lam): one sparse change of basis."""
-    out: dict[Partition, Fraction] = {}
-    for lam, c in terms.items():
-        for mu, d in table(lam).items():
-            s = out.get(mu, _ZERO) + c * d
-            if s:
-                out[mu] = s
-            elif mu in out:
-                del out[mu]
-    return out
+    """sum over lam of terms[lam] * table(lam): one sparse change of basis.
+
+    The input is brought over the lcm of its denominators and the rows over
+    the lcm of theirs, so the sum runs on Python ints and each output key
+    becomes one Fraction.
+    """
+    rows = [(c, table(lam)) for lam, c in terms.items()]
+    den_in = lcm(*[c.denominator for c in terms.values()])
+    den_rows = lcm(*{d.denominator for _, row in rows for d in row.values()})
+    acc: dict[Partition, int] = {}
+    get = acc.get
+    for c, row in rows:
+        scale = c.numerator * (den_in // c.denominator)
+        for mu, d in row.items():
+            num, dd = d.as_integer_ratio()
+            acc[mu] = get(mu, 0) + scale * num * (den_rows // dd)
+    den = den_in * den_rows
+    return {mu: Fraction(v, den) for mu, v in acc.items() if v}
 
 
 def to_p(f: SymFunc) -> SymFunc:

@@ -166,15 +166,23 @@ def poly_mul(a, b, order: int) -> list:
 
 
 def poly_exp(a, order: int) -> list:
-    """exp of a coefficient list with a[0] == 0, truncated at the order."""
+    """exp of a coefficient list with a[0] == 0, truncated at the order.
+
+    The Euler recurrence k g_k = sum_{j=1..k} j a_j g_{k-j} from g_0 = 1
+    gives each coefficient from the ones before it.
+    """
     if a and a[0]:
         raise ValueError("poly_exp needs a zero constant term")
-    result = [_ONE] + [_ZERO] * order
-    for k in range(order, 0, -1):
-        result = poly_mul(a, result, order)
-        result = [c / k for c in result]
-        result[0] += _ONE
-    return result
+    ja = [j * c for j, c in enumerate(a[:order + 1])]
+    ja += [_ZERO] * (order + 1 - len(ja))
+    g = [_ONE]
+    for k in range(1, order + 1):
+        total = _ZERO
+        for j in range(1, k + 1):
+            if ja[j]:
+                total += ja[j] * g[k - j]
+        g.append(total / k)
+    return g
 
 
 # ------------------------------------------------- Kronecker coefficients

@@ -317,6 +317,15 @@ def test_from_p_to_s_matches_character_sums(terms):
     assert from_p(f, "s") == s_expansion_by_oracle(f)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["h", "e"]),
+       st.dictionaries(st.sampled_from(PARTITIONS_UP_TO_10),
+                       st.fractions(-40, 40, max_denominator=36), max_size=8))
+def test_h_and_e_round_trip_through_p(basis, terms):
+    f = SymFunc(basis, terms, 10)
+    assert from_p(to_p(f), basis) == f
+
+
 def test_schur_in_p_matches_characters_over_z():
     for n in range(11):
         for lam in partitions_of(n):

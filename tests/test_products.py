@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_symfunc
 from symkron.bases import from_p, to_p
@@ -256,6 +257,27 @@ def test_poly_helpers():
     assert exp_x == [F(1, factorial(k)) for k in range(6)]
     with pytest.raises(ValueError):
         poly_exp([F(1)], 3)
+
+
+def poly_exp_by_horner(a, order):
+    """Reference: the sum of a**k / k! by Horner's rule through poly_mul."""
+    result = [F(1)] + [F(0)] * order
+    for k in range(order, 0, -1):
+        result = [c / k for c in poly_mul(a, result, order)]
+        result[0] += 1
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(-9, 9, max_denominator=12), max_size=14), st.integers(0, 16))
+@example([], 0)
+@example([], 5)
+@example([F(0)] * 9 + [F(2, 3)], 12)
+def test_poly_exp_matches_horner(tail, order):
+    a = [F(0)] + tail
+    got = poly_exp(a, order)
+    assert got == poly_exp_by_horner(a, order)
+    assert all(type(c) is F for c in got)
 
 
 # ----------------------------------------------------- Kronecker coefficients

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_symfunc
+from symkron.partitions import partitions_of
 from symkron.series import BasisError, SymFunc, exp_series
 
 F = Fraction
@@ -203,6 +205,39 @@ def test_exp_is_a_homomorphism():
         f = random_symfunc(rng, "p", degree, constant_free=True)
         g = random_symfunc(rng, "p", degree, constant_free=True)
         assert exp_series(f + g) == exp_series(f) * exp_series(g)
+
+
+def exp_by_definition(f):
+    """Reference: the sum of f**k / k!, by Horner's rule through SymFunc
+    products, independent of the weight-by-weight recurrence."""
+    one = SymFunc.one("p", f.degree)
+    result = one
+    for k in range(f.degree, 0, -1):
+        result = one + (f * result).scale(F(1, k))
+    return result
+
+
+@st.composite
+def constant_free_p_series(draw):
+    """A p series of degree <= 10 with terms of mixed weights and
+    denominators, and no constant term."""
+    degree = draw(st.integers(0, 10))
+    if not degree:
+        return SymFunc.zero("p", 0)
+    keys = [lam for n in range(1, degree + 1) for lam in partitions_of(n)]
+    terms = draw(st.dictionaries(st.sampled_from(keys),
+                                 st.fractions(-9, 9, max_denominator=12), max_size=6))
+    return SymFunc("p", terms, degree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_free_p_series())
+@example(SymFunc.zero("p", 0))
+@example(SymFunc.zero("p", 7))
+@example(SymFunc.single("p", (10,), 10, F(3, 7)))
+@example(SymFunc.single("p", (4, 3, 3), 10, F(-5, 2)))
+def test_exp_matches_definition(f):
+    assert exp_series(f) == exp_by_definition(f)
 
 
 # --------------------------------------------------------------- truncation
