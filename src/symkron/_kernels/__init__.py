@@ -3,13 +3,22 @@
 Term maps are dicts keyed by ``Partition`` (weakly decreasing integer
 tuples) with ``fractions.Fraction`` values, and every key of a result is a
 ``Partition``.  Each kernel exists once, in Python, and computes on Python
-ints: ``mul_terms`` and ``scalar_terms`` bring each input over one common
-denominator, ``kron_terms`` multiplies numerators and denominators apart,
-and only the results become ``Fraction`` objects.
+ints: ``mul_terms``, ``exp_terms`` and ``scalar_terms`` bring their inputs
+over common denominators, ``kron_terms`` multiplies numerators and
+denominators apart, and only the results become ``Fraction`` objects.
+
+The two multiplicative kernels share one integer coding of keys.  A key is
+the int sum of 2**((part - 1) * shift) over its parts, with
+``shift = limit.bit_length()``: one field of ``shift`` bits per part size
+holds that part's multiplicity, so merging two keys is adding their codes.
+Every key they code or produce weighs at most ``limit``, so no multiplicity
+(at most ``limit``) overflows its field.  They run one pair loop,
+``_pair_sums``, on weight slices of coded rows, and each output code is
+decoded once, at the end; a code equal to an input key's is that key.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from symkron.partitions import Partition, z
 
@@ -19,51 +28,40 @@ def backend_name() -> str:
     return "python"
 
 
-def _rows(terms: dict, limit: int, unit: list, keys: dict) -> tuple[list, int]:
-    """(weight, code, numerator) for every key of weight <= limit, sorted by
-    weight, and the common denominator of the numerators.  Each code is
-    recorded in ``keys`` with the key it stands for."""
+def _units(limit: int) -> tuple[int, list]:
+    """The field width for keys of weight <= limit, and the code of each
+    single part 1..limit (index 0 is unused)."""
+    shift = limit.bit_length()
+    return shift, [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
+
+
+def _slices(terms: dict, limit: int, unit: list, keys: dict) -> tuple[dict, int]:
+    """{weight: [(code, numerator), ...]} for every key of weight <= limit,
+    and the common denominator of the numerators.  Each code is recorded in
+    ``keys`` with the key it stands for."""
     kept = [(k, c) for k, c in terms.items() if sum(k) <= limit]
     den = lcm(*[c.denominator for _, c in kept])
-    rows = []
+    slices: dict = {}
     for k, c in kept:
         code = sum(map(unit.__getitem__, k))
         keys[code] = k
-        rows.append((sum(k), code, c.numerator * (den // c.denominator)))
-    rows.sort()
-    return rows, den
+        slices.setdefault(sum(k), []).append((code, c.numerator * (den // c.denominator)))
+    return slices, den
 
 
-def mul_terms(a: dict, b: dict, limit: int) -> dict:
-    """Sparse product of two multiplicative-basis term maps, truncated so
-    that no result key has weight above ``limit``.
-
-    A key is coded as the int sum of 2**((part - 1) * shift) over its parts,
-    with ``shift = limit.bit_length()``: one field of ``shift`` bits per part
-    size holds that part's multiplicity, so merging two keys is adding their
-    codes.  Keys above the limit are dropped before coding, and every merged
-    key weighs at most ``limit``, so no multiplicity (at most ``limit``)
-    overflows its field.  An output key equal to an input key is that key;
-    any other is decoded once, into a ``Partition``.
-    """
-    shift = limit.bit_length()
-    unit = [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
-    keys: dict = {}
-    rows_a, da = _rows(a, limit, unit, keys)
-    rows_b, db = _rows(b, limit, unit, keys)
-    acc: dict = {}
+def _pair_sums(acc: dict, rows_a: list, rows_b: list) -> None:
+    """acc[ca + cb] += na * nb over every pair of coded rows."""
     get = acc.get
-    for wa, ca, na in rows_a:
-        room = limit - wa
-        for wb, cb, nb in rows_b:
-            if wb > room:
-                break
+    for ca, na in rows_a:
+        for cb, nb in rows_b:
             code = ca + cb
             acc[code] = get(code, 0) + na * nb
+
+
+def _decode_into(out: dict, rows, den: int, keys: dict, shift: int) -> None:
+    """out[key] = Fraction(numerator, den) for every nonzero coded row."""
     mask = (1 << shift) - 1
-    den = da * db
-    out = {}
-    for code, v in acc.items():
+    for code, v in rows:
         if not v:
             continue
         key = keys.get(code)
@@ -77,6 +75,65 @@ def mul_terms(a: dict, b: dict, limit: int) -> dict:
             parts.reverse()
             key = Partition(parts)
         out[key] = Fraction(v, den)
+
+
+def mul_terms(a: dict, b: dict, limit: int) -> dict:
+    """Sparse product of two multiplicative-basis term maps, truncated so
+    that no result key has weight above ``limit``.
+
+    Keys above the limit are dropped before coding; each pair of weight
+    slices whose weights add up to at most the limit runs the pair loop.
+    """
+    shift, unit = _units(limit)
+    keys: dict = {}
+    slices_a, da = _slices(a, limit, unit, keys)
+    slices_b, db = _slices(b, limit, unit, keys)
+    acc: dict = {}
+    for wa, rows_a in slices_a.items():
+        for wb, rows_b in slices_b.items():
+            if wa + wb <= limit:
+                _pair_sums(acc, rows_a, rows_b)
+    out: dict = {}
+    _decode_into(out, acc.items(), da * db, keys, shift)
+    return out
+
+
+def exp_terms(terms: dict, limit: int) -> dict:
+    """exp of a constant-free multiplicative-basis term map, truncated at
+    weight ``limit``.
+
+    Built weight by weight with the Euler (degree-operator) recurrence: with
+    f_j and g_j the weight-j slices of f and of g = exp(f), g_0 = 1 and
+
+        k g_k = sum_{j=1..k} j f_j g_{k-j}.
+
+    Every g_k stays coded, as integer numerators over one denominator of its
+    own, reduced by the gcd of the slice; the keys are decoded and the
+    Fractions built once, after the last weight.
+    """
+    shift, unit = _units(limit)
+    keys: dict = {}
+    slices, den_f = _slices(terms, limit, unit, keys)
+    jf = {j: [(code, j * v) for code, v in rows] for j, rows in sorted(slices.items()) if j}
+    g: list[list] = [[(0, 1)]]
+    dens = [1]
+    for k in range(1, limit + 1):
+        parts = [(rows, g[k - j], dens[k - j]) for j, rows in jf.items()
+                 if j <= k and g[k - j]]
+        common = lcm(*[d for _, _, d in parts])
+        acc: dict = {}
+        for rows, g_rest, d in parts:
+            scale = common // d
+            if scale != 1:
+                rows = [(code, v * scale) for code, v in rows]
+            _pair_sums(acc, rows, g_rest)
+        den = den_f * common * k
+        cut = gcd(den, *acc.values())
+        g.append([(code, v // cut) for code, v in acc.items() if v])
+        dens.append(den // cut)
+    out: dict = {}
+    for rows, den in zip(g, dens):
+        _decode_into(out, rows, den, keys, shift)
     return out
 
 

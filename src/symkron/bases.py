@@ -15,10 +15,14 @@ out, serves each direction, and the two tables serve h, e and m:
 
 Characters come by two independent routes, both Murnaghan-Nakayama:
 
-* the conversions (p -> s in ``from_p``, s -> p in ``to_p``) read integer
-  character *columns* p_mu = sum_lam chi^lam(mu) s_lam, built per cycle
-  type mu on beta-set bitmasks from the column of mu's tail, so whole
-  weights share their stripped tails;
+* the conversions add border strips on beta-set bitmasks, one helper
+  (``_add_strips``: p_t times a Schur vector) for both directions.  p -> s
+  in ``from_p`` is a Horner sum over the partition trie: the terms are
+  grouped by their smallest part t, each group is converted with t peeled
+  off, and p_t multiplies the group's sum once, all over one common
+  denominator.  s -> p in ``to_p`` reads integer character *columns*
+  p_mu = sum_lam chi^lam(mu) s_lam, memoized per cycle type mu and built
+  from the column of mu's tail; the columns serve s -> p only;
 * ``character`` / ``character_table`` strip border strips from one row
   lam at a time through the (lam, mu) memo ``_char_cache``.  Only the
   oracle uses this route (``kronecker_coefficient(oracle=True)`` and the
@@ -123,21 +127,19 @@ def _weight_index(n: int) -> list[tuple[Partition, int]]:
     return [(lam, _beta_mask(lam, n)) for lam in partitions_of(n)]
 
 
-@functools.cache
-def _column(mu: tuple) -> dict[int, int]:
-    """Beta mask of lam -> chi^lam(mu), nonzero values only.
+def _add_strips(vec: dict[int, int], t: int, acc: dict[int, int]) -> None:
+    """acc += p_t * vec over s, both keyed by beta mask: each partition in
+    vec grows by every border strip of size t, with the Murnaghan-Nakayama
+    sign.
 
-    Murnaghan-Nakayama read backwards: every lam of weight |mu| arises from
-    a partition in the column of mu[1:] by adding one border strip of size
-    mu_1, and chi^lam(mu) sums the signed tail values over those strips.
+    A partition of weight w is held as w beads and lifted to w + t beads
+    before its strips are added, so the bead count is the weight and the
+    entries of a mixed-weight vec never collide.
     """
-    if not mu:
-        return {0: 1}
-    t = mu[0]
     fill = (1 << t) - 1
     between = (1 << (t - 1)) - 1
-    acc: dict[int, int] = {}
-    for tail, chi in _column(mu[1:]).items():
+    get = acc.get
+    for tail, chi in vec.items():
         mask = (tail << t) | fill
         free = mask & ~(mask >> t)
         while free:
@@ -145,10 +147,43 @@ def _column(mu: tuple) -> dict[int, int]:
             free ^= bead
             grown = mask ^ bead ^ (bead << t)
             if ((mask >> bead.bit_length()) & between).bit_count() & 1:
-                acc[grown] = acc.get(grown, 0) - chi
+                acc[grown] = get(grown, 0) - chi
             else:
-                acc[grown] = acc.get(grown, 0) + chi
+                acc[grown] = get(grown, 0) + chi
+
+
+@functools.cache
+def _column(mu: tuple) -> dict[int, int]:
+    """Beta mask of lam -> chi^lam(mu), nonzero values only; s -> p only.
+
+    Murnaghan-Nakayama read backwards: every lam of weight |mu| arises from
+    a partition in the column of mu[1:] by adding one border strip of size
+    mu_1, and chi^lam(mu) sums the signed tail values over those strips.
+    """
+    if not mu:
+        return {0: 1}
+    acc: dict[int, int] = {}
+    _add_strips(_column(mu[1:]), mu[0], acc)
     return {k: v for k, v in acc.items() if v}
+
+
+def _horner(terms: dict[tuple, int]) -> dict[int, int]:
+    """sum over mu of terms[mu] * p_mu, over s, keyed by beta mask.
+
+    Horner's rule on the partition trie: the terms are grouped by their
+    smallest part t, each group (with t peeled off) is converted first, and
+    p_t multiplies the group's sum once, by ``_add_strips``.
+    """
+    out: dict[int, int] = {}
+    groups: dict[int, dict] = {}
+    for mu, c in terms.items():
+        if mu:
+            groups.setdefault(mu[-1], {})[mu[:-1]] = c
+        else:
+            out[0] = c
+    for t, group in groups.items():
+        _add_strips(_horner(group), t, out)
+    return out
 
 
 # ------------------------------------------------- change-of-basis tables
@@ -276,8 +311,9 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
     h coefficients multiply out the p -> h table, and e coefficients are the
     h coefficients of omega(f), since omega(e_lam) = h_lam; m coefficients
     come straight from the scalar product (duality with h); s coefficients
-    sum the character columns of the input's cycle types over one common
-    denominator per weight.
+    are the Horner sum of the input over the partition trie, p_t times a
+    Schur vector adding border strips of size t, over one common
+    denominator.
     """
     if target not in BASES:
         raise BasisError(f"unknown basis {target!r}; expected one of {BASES}")
@@ -288,31 +324,29 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
     if target in ("h", "e"):
         terms = _omega(f.terms) if target == "e" else f.terms
         return SymFunc._of(target, _change_basis(terms, _plam_in_h), f.degree)
+    if target == "s":
+        # Over one common denominator the Horner sum runs on Python ints.
+        denom = lcm(*(c.denominator for c in f.terms.values()))
+        vec = _horner({mu: c.numerator * (denom // c.denominator)
+                       for mu, c in f.terms.items()})
+        out = {}
+        for n in f.weights():
+            for lam, mask in _weight_index(n):
+                v = vec.get(mask)
+                if v:
+                    out[lam] = Fraction(v, denom)
+        return SymFunc._of("s", out, f.degree)
+    # [m_lam] f = <f, h_lam> by duality, one weight at a time.
     pieces: dict[int, dict] = {}
     for mu, c in f.terms.items():
         pieces.setdefault(mu.weight, {})[mu] = c
     out: dict[Partition, Fraction] = {}
     for n in sorted(pieces):
-        piece = pieces[n]
-        if target == "m":
-            # [m_lam] f = <f, h_lam> by duality.
-            for lam in partitions_of(n):
-                d = kernels.scalar_terms(piece, _hlam_in_p(lam))
-                if d:
-                    out[lam] = d
-        else:
-            # Over one common denominator the column sums are integer sums.
-            denom = lcm(*(c.denominator for c in piece.values()))
-            acc: dict[int, int] = {}
-            for mu, c in piece.items():
-                scale = c.numerator * (denom // c.denominator)
-                for mask, chi in _column(mu).items():
-                    acc[mask] = acc.get(mask, 0) + scale * chi
-            for lam, mask in _weight_index(n):
-                v = acc.get(mask)
-                if v:
-                    out[lam] = Fraction(v, denom)
-    return SymFunc._of(target, out, f.degree)
+        for lam in partitions_of(n):
+            d = kernels.scalar_terms(pieces[n], _hlam_in_p(lam))
+            if d:
+                out[lam] = d
+    return SymFunc._of("m", out, f.degree)
 
 
 # ------------------------------------------------------------- Gram-Schmidt

@@ -190,9 +190,10 @@ def poly_exp(a, order: int) -> list:
 def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
     """Multiplicity of s_rho in s_lam (x) s_mu; a non-negative integer.
 
-    The default route exercises the full pipeline: expand both Schur
-    functions over p, multiply with ``kronecker``, convert back to the s
-    basis and read off the coefficient.  With oracle=True the value is the
+    The default route exercises the series pipeline: expand both Schur
+    functions over p, multiply with ``kronecker`` and pair the product with
+    s_rho by ``scalar_product`` (the s basis is orthonormal), reading the
+    character columns of ``to_p``.  With oracle=True the value is the
     independent character sum
 
         sum over nu of chi^lam(nu) chi^mu(nu) chi^rho(nu) / z_nu,
@@ -215,7 +216,7 @@ def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
         )
     else:
         product = kronecker(SymFunc.single("s", lam, n), SymFunc.single("s", mu, n))
-        val = bases.from_p(product, "s").coefficient(rho)
+        val = scalar_product(product, SymFunc.single("s", rho, n))
     if val.denominator != 1:
         raise ArithmeticError(f"non-integral Kronecker coefficient {val} at {lam}, {mu}, {rho}")
     return int(val)

@@ -289,29 +289,14 @@ class SymFunc:
 def exp_series(f: SymFunc) -> SymFunc:
     """exp of a constant-free p-basis series, truncated at its degree.
 
-    Built weight by weight with the Euler (degree-operator) recurrence: with
-    f_j and g_j the weight-j slices of f and of g = exp(f), g_0 = 1 and
-
-        k g_k = sum_{j=1..k} j f_j g_{k-j},
-
-    so every product multiplies two slices whose weights add up to k, and
-    the result is assembled once.
+    Built weight by weight with the Euler (degree-operator) recurrence
+    k g_k = sum_{j=1..k} j f_j g_{k-j} from g_0 = 1, where f_j and g_j are
+    the weight-j slices of f and of g = exp(f).  The kernel ``exp_terms``
+    runs it on integer-coded keys and numerators and builds each result
+    key and coefficient once.
     """
     if f.basis != "p":
         raise BasisError("exp_series expects the p basis")
     if f.constant_term:
         raise ValueError("exp_series needs a zero constant term")
-    degree = f.degree
-    # jf[j] holds j * f_j, the degree operator applied to f.
-    jf: list[dict] = [{} for _ in range(degree + 1)]
-    for lam, c in f.terms.items():
-        jf[lam.weight][lam] = c * lam.weight
-    g: list[dict] = [{Partition(): Fraction(1)}]
-    for k in range(1, degree + 1):
-        acc: dict = {}
-        for j in range(1, k + 1):
-            if jf[j] and g[k - j]:
-                for lam, c in kernels.mul_terms(jf[j], g[k - j], k).items():
-                    acc[lam] = acc.get(lam, _ZERO) + c
-        g.append({lam: c / k for lam, c in acc.items() if c})
-    return SymFunc._of("p", {lam: c for g_k in g for lam, c in g_k.items()}, degree)
+    return SymFunc._of("p", kernels.exp_terms(f.terms, f.degree), f.degree)

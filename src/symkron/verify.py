@@ -110,6 +110,8 @@ class VerificationReport:
 def first_difference(lhs: SymFunc, rhs: SymFunc) -> Optional[Discrepancy]:
     """First coefficient where the two series differ, scanning partitions in
     (weight, lexicographic) order; None when every coefficient matches."""
+    if lhs.terms == rhs.terms:
+        return None
     keys = set(lhs.terms) | set(rhs.terms)
     for key in sorted(keys, key=lambda k: (sum(k), tuple(k))):
         a = lhs.coefficient(key)

@@ -317,6 +317,40 @@ def test_from_p_to_s_matches_character_sums(terms):
     assert from_p(f, "s") == s_expansion_by_oracle(f)
 
 
+# The Horner sum groups terms by their smallest part, across weights; these
+# inputs fill whole weights and share trie paths, which the random terms
+# above seldom do.
+
+def test_from_p_to_s_of_every_cycle_type_of_one_weight():
+    rng = random.Random(11)
+    for n in range(11):
+        terms = {mu: F(rng.randint(-40, 40), rng.randint(1, 36)) for mu in partitions_of(n)}
+        f = SymFunc("p", terms, n)
+        assert from_p(f, "s") == s_expansion_by_oracle(f), n
+
+
+def test_from_p_to_s_of_weights_sharing_trie_paths():
+    # every prefix and every suffix of three long cycle types, so terms of
+    # different weights share their smallest parts and their largest ones
+    rng = random.Random(12)
+    longest = [(5, 4, 2, 2, 1, 1), (3, 3, 2, 1, 1, 1, 1), (6, 2, 2, 2)]
+    keys = {mu[:i] for mu in longest for i in range(len(mu) + 1)}
+    keys |= {mu[i:] for mu in longest for i in range(len(mu) + 1)}
+    terms = {mu: F(rng.randint(-40, 40), rng.randint(1, 36)) for mu in keys}
+    f = SymFunc("p", terms, 16)
+    assert f.weights() == sorted({sum(mu) for mu in keys})
+    assert from_p(f, "s") == s_expansion_by_oracle(f)
+
+
+def test_from_p_to_s_keeps_the_constant_term():
+    assert from_p(SymFunc.single("p", (), 4, F(-5, 3)), "s") == \
+        SymFunc.single("s", (), 4, F(-5, 3))
+    f = SymFunc("p", {(): F(7, 2), (1,): 1, (1, 1): F(1, 2)}, 3)
+    assert from_p(f, "s") == SymFunc("s", {(): F(7, 2), (1,): 1, (2,): F(1, 2),
+                                           (1, 1): F(1, 2)}, 3)
+    assert from_p(SymFunc.zero("p", 3), "s") == SymFunc.zero("s", 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["h", "e"]),
        st.dictionaries(st.sampled_from(PARTITIONS_UP_TO_10),

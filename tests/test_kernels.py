@@ -79,3 +79,30 @@ def test_mul_matches_definition(a, b, limit):
     product = kernels.mul_terms(a, b, limit)
     assert product == mul_by_definition(a, b, limit)
     assert all(type(c) is Fraction for c in product.values())
+
+
+def exp_by_definition(a: dict, limit: int) -> dict:
+    """The sum of a**k / k! over k <= limit, through mul_by_definition; a
+    constant-free a has no key of weight 0, so higher powers vanish."""
+    total = {(): F(1)}
+    power = {(): F(1)}
+    for k in range(1, limit + 1):
+        power = {key: c / k for key, c in mul_by_definition(power, a, limit).items()}
+        for key, c in power.items():
+            total[key] = total.get(key, F(0)) + c
+    return {k: c for k, c in total.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERM_MAPS.map(lambda a: {k: c for k, c in a.items() if k}), st.integers(0, 9))
+@example({}, 0)
+@example({(1,): F(-2, 3)}, 0)
+# a multiplicity equal to the limit fills its field: 7 = 0b111, 8 = 0b1000
+@example({(1,): F(3)}, 7)
+@example({(1,): F(1), (2,): F(-1, 2)}, 8)
+# keys above the limit contribute nothing
+@example({(5,): F(1), (1, 1): F(1, 2)}, 4)
+def test_exp_matches_definition(a, limit):
+    g = kernels.exp_terms(a, limit)
+    assert g == exp_by_definition(a, limit)
+    assert all(type(c) is Fraction for c in g.values())

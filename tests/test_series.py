@@ -171,6 +171,14 @@ def test_exp_of_p1():
     assert got == SymFunc("p", {(): 1, (1,): 1, (1, 1): F(1, 2), (1, 1, 1): F(1, 6)}, 3)
 
 
+def test_exp_of_p1_fills_the_multiplicity_field():
+    # The coded keys give each part size limit.bit_length() bits, so p1**15
+    # fills a 4-bit field (0b1111) and p1**16 the top bit of a 5-bit one.
+    for degree in (15, 16):
+        expected = {(1,) * k: F(1, math.factorial(k)) for k in range(degree + 1)}
+        assert exp_series(p((1,), degree)) == SymFunc("p", expected, degree)
+
+
 def test_exp_of_mercator_series():
     # exp(p1 + p1^2/2 + p1^3/3) = 1/(1 - p1), truncated at degree 3
     mercator = SymFunc("p", {(1,): 1, (1, 1): F(1, 2), (1, 1, 1): F(1, 3)}, 3)
