@@ -1,17 +1,18 @@
 """Conversions between the classical bases and the power-sum coordinates.
 
 The p basis is the canonical coordinate system; every conversion routes
-through it.  h and p are multiplicative: a table per single part, multiplied
-out, serves each direction, and the two tables serve h, e and m:
+through it:
 
-* h -> p is the Newton product: h_n by  n h_n = sum_{k=1..n} p_k h_{n-k};
-* p -> h is the closed-form product: p_n = sum over lam of
-  (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam;
+* h and p are multiplicative, so a table per single part, multiplied out,
+  serves each direction: h_n = sum over mu of p_mu / z(mu), and
+  p_n = sum over lam of (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam;
 * e as omega(h): the involution omega sends h_lam to e_lam and acts on
   power sums as p_mu -> (-1)^(|mu| - len(mu)) p_mu;
-* m by the duality <m_lam, h_mu> = delta: [m_lam] f = <f, h_lam>, and
-  m -> p is the transposed p -> h table, [p_mu] m_lam = [h_lam] p_mu / z(mu);
-* s by symmetric-group characters.
+* m and s by the Hall duality: for dual bases b and b* (m* = h, s* = s),
+  [p_mu] b_lam = [b*_lam] p_mu / z(mu).  m goes both ways by rows read
+  across the h/p tables of its weight, [p_mu] m_lam = [h_lam] p_mu / z(mu)
+  and [m_lam] p_mu = z(mu) [p_mu] h_lam; s -> p reads chi^lam(mu) / z(mu)
+  across the character columns.
 
 Characters come by two independent routes, both Murnaghan-Nakayama:
 
@@ -195,14 +196,8 @@ def _omega(terms: dict) -> dict:
 
 @functools.cache
 def _h_in_p(n: int) -> dict:
-    if n == 0:
-        return {Partition(): _ONE}
-    acc: dict = {}
-    for k in range(1, n + 1):
-        for key, c in _h_in_p(n - k).items():
-            nk = Partition(sorted(key + (k,), reverse=True))
-            acc[nk] = acc.get(nk, _ZERO) + c
-    return {key: c / n for key, c in acc.items()}
+    """h_n = sum over mu of p_mu / z(mu)."""
+    return {mu: Fraction(1, z(mu)) for mu in partitions_of(n)}
 
 
 @functools.cache
@@ -242,17 +237,25 @@ def _s_in_p(lam: tuple) -> dict:
 
 
 @functools.cache
-def _m_in_p_all(n: int) -> dict[Partition, dict]:
-    """p-expansions of every m_lam with lam a partition of n.
+def _m_in_p(lam: tuple) -> dict:
+    """[p_mu] m_lam = [h_lam] p_mu / z(mu), read across the p -> h rows."""
+    out = {}
+    for mu in partitions_of(sum(lam)):
+        c = _plam_in_h(mu).get(lam)
+        if c:
+            out[mu] = c / z(mu)
+    return out
 
-    By duality, [p_mu] m_lam = <m_lam, p_mu> / z(mu) = [h_lam] p_mu / z(mu),
-    so the p -> h table, transposed, gives every m_lam at once.
-    """
-    out: dict[Partition, dict] = {lam: {} for lam in partitions_of(n)}
-    for mu in partitions_of(n):
-        zmu = z(mu)
-        for lam, c in _plam_in_h(mu).items():
-            out[lam][mu] = c / zmu
+
+@functools.cache
+def _p_in_m(mu: tuple) -> dict:
+    """[m_lam] p_mu = z(mu) [p_mu] h_lam, read across the h -> p rows."""
+    zmu = z(mu)
+    out = {}
+    for lam in partitions_of(sum(mu)):
+        c = _hlam_in_p(lam).get(mu)
+        if c:
+            out[lam] = c * zmu
     return out
 
 
@@ -265,7 +268,7 @@ def clear_caches() -> None:
     """
     _char_cache.clear()
     for memo in (_column, _weight_index, _h_in_p, _hlam_in_p, _p_in_h, _plam_in_h,
-                 _s_in_p, _m_in_p_all):
+                 _s_in_p, _m_in_p, _p_in_m):
         memo.cache_clear()
 
 
@@ -292,14 +295,17 @@ def _change_basis(terms: dict, table) -> dict:
     return {mu: Fraction(v, den) for mu, v in acc.items() if v}
 
 
+# e_lam = omega(h_lam) and omega is linear: e runs through the h tables,
+# with omega applied on the p side.
+_TO_P = {"h": _hlam_in_p, "e": _hlam_in_p, "m": _m_in_p, "s": _s_in_p}
+_FROM_P = {"h": _plam_in_h, "e": _plam_in_h, "m": _p_in_m}
+
+
 def to_p(f: SymFunc) -> SymFunc:
     """Re-express f over the power sums; exact, same truncation degree."""
     if f.basis == "p":
         return f
-    # e_lam = omega(h_lam), and omega is linear: expand as h, then twist.
-    tables = {"h": _hlam_in_p, "e": _hlam_in_p, "s": _s_in_p,
-              "m": lambda lam: _m_in_p_all(lam.weight)[lam]}
-    out = _change_basis(f.terms, tables[f.basis])
+    out = _change_basis(f.terms, _TO_P[f.basis])
     if f.basis == "e":
         out = _omega(out)
     return SymFunc._of("p", out, f.degree)
@@ -308,12 +314,12 @@ def to_p(f: SymFunc) -> SymFunc:
 def from_p(f: SymFunc, target: str) -> SymFunc:
     """Exact change of basis from p to the target basis.
 
-    h coefficients multiply out the p -> h table, and e coefficients are the
-    h coefficients of omega(f), since omega(e_lam) = h_lam; m coefficients
-    come straight from the scalar product (duality with h); s coefficients
-    are the Horner sum of the input over the partition trie, p_t times a
-    Schur vector adding border strips of size t, over one common
-    denominator.
+    h and e coefficients multiply out the p -> h table (e as the h
+    coefficients of omega(f), since omega(e_lam) = h_lam); m coefficients
+    are the duality rows [m_lam] p_mu = z(mu) [p_mu] h_lam, read across the
+    h -> p table.  s coefficients are the Horner sum of the input over the
+    partition trie, p_t times a Schur vector adding border strips of size
+    t, over one common denominator.
     """
     if target not in BASES:
         raise BasisError(f"unknown basis {target!r}; expected one of {BASES}")
@@ -321,9 +327,6 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
         raise BasisError("from_p expects a p-basis input")
     if target == "p":
         return f
-    if target in ("h", "e"):
-        terms = _omega(f.terms) if target == "e" else f.terms
-        return SymFunc._of(target, _change_basis(terms, _plam_in_h), f.degree)
     if target == "s":
         # Over one common denominator the Horner sum runs on Python ints.
         denom = lcm(*(c.denominator for c in f.terms.values()))
@@ -336,17 +339,8 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
                 if v:
                     out[lam] = Fraction(v, denom)
         return SymFunc._of("s", out, f.degree)
-    # [m_lam] f = <f, h_lam> by duality, one weight at a time.
-    pieces: dict[int, dict] = {}
-    for mu, c in f.terms.items():
-        pieces.setdefault(mu.weight, {})[mu] = c
-    out: dict[Partition, Fraction] = {}
-    for n in sorted(pieces):
-        for lam in partitions_of(n):
-            d = kernels.scalar_terms(pieces[n], _hlam_in_p(lam))
-            if d:
-                out[lam] = d
-    return SymFunc._of("m", out, f.degree)
+    terms = _omega(f.terms) if target == "e" else f.terms
+    return SymFunc._of(target, _change_basis(terms, _FROM_P[target]), f.degree)
 
 
 # ------------------------------------------------------------- Gram-Schmidt
@@ -362,9 +356,8 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
     if type(n) is not int or n < 1:  # bool is an int subclass
         raise ValueError(f"weight must be a positive integer: {n!r}")
     lams = partitions_of(n)
-    m_in_p = _m_in_p_all(n)
     gram = {
-        (a, b): kernels.scalar_terms(m_in_p[a], m_in_p[b])
+        (a, b): kernels.scalar_terms(_m_in_p(a), _m_in_p(b))
         for i, a in enumerate(lams)
         for b in lams[: i + 1]
     }

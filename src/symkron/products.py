@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from symkron import _kernels as kernels
 from symkron import bases
@@ -38,15 +37,13 @@ def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
     """Kronecker (internal) product, returned in the p basis.
 
     Cross-degree terms vanish on their own, so inhomogeneous inputs are
-    fine; the result is truncated at the minimum input degree.
+    fine; the result is truncated at the minimum input degree, which every
+    key shared by both inputs already respects.
     """
     fp = bases.to_p(f)
     gp = bases.to_p(g)
     degree = min(fp.degree, gp.degree)
-    out = kernels.kron_terms(fp.terms, gp.terms)
-    if fp.degree != gp.degree:
-        out = {k: c for k, c in out.items() if sum(k) <= degree}
-    return SymFunc._of("p", out, degree)
+    return SymFunc._of("p", kernels.kron_terms(fp.terms, gp.terms), degree)
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -146,7 +143,7 @@ def kron_factor(a: UnivariateFactor, b: UnivariateFactor) -> UnivariateFactor:
         raise ValueError(f"factors live in different variables: p_{a.n} vs p_{b.n}")
     order = min(a.order, b.order)
     coeffs = tuple(
-        a.coeffs[k] * b.coeffs[k] * a.n ** k * factorial(k)
+        a.coeffs[k] * b.coeffs[k] * z((a.n,) * k)
         for k in range(order + 1)
     )
     return UnivariateFactor(a.n, coeffs)

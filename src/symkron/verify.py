@@ -20,7 +20,7 @@ from symkron.bases import from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of
 from symkron.products import kron_factor, kronecker, poly_exp, poly_mul
-from symkron.series import SymFunc
+from symkron.series import SymFunc, term_order
 
 _ZERO = Fraction(0)
 
@@ -113,7 +113,7 @@ def first_difference(lhs: SymFunc, rhs: SymFunc) -> Optional[Discrepancy]:
     if lhs.terms == rhs.terms:
         return None
     keys = set(lhs.terms) | set(rhs.terms)
-    for key in sorted(keys, key=lambda k: (sum(k), tuple(k))):
+    for key in sorted(keys, key=term_order):
         a = lhs.coefficient(key)
         b = rhs.coefficient(key)
         if a != b:

@@ -22,14 +22,27 @@ from symkron.series import BASES, BasisError, SymFunc
 F = Fraction
 
 
+def newton_in_p(n, sign):
+    """h_n (sign 1) or e_n (sign -1) over p by Newton's identity
+    k g_k = sum_{j=1..k} sign^(j - 1) p_j g_{k-j}; independent of the closed
+    form sum over lam of p_lam / z_lam that the conversions use."""
+    g = [{(): F(1)}]
+    for k in range(1, n + 1):
+        acc = {}
+        for j in range(1, k + 1):
+            for key, c in g[k - j].items():
+                grown = tuple(sorted(key + (j,), reverse=True))
+                acc[grown] = acc.get(grown, 0) + sign ** (j - 1) * c
+        g.append({key: c / k for key, c in acc.items()})
+    return g[n]
+
+
 def h_in_p_oracle(n):
-    """h_n = sum over lam of p_lam / z_lam (independent of the Newton route)."""
-    return {tuple(lam): F(1, z(lam)) for lam in partitions_of(n)}
+    return newton_in_p(n, 1)
 
 
 def e_in_p_oracle(n):
-    """e_n = sum over lam of (-1)^(n - len(lam)) p_lam / z_lam."""
-    return {tuple(lam): F((-1) ** (n - len(lam)), z(lam)) for lam in partitions_of(n)}
+    return newton_in_p(n, -1)
 
 
 def hook_dimension(lam):
@@ -137,7 +150,7 @@ def test_schur_11_equals_e2():
     assert to_p(SymFunc.single("s", (1, 1), 2)) == to_p(SymFunc.single("e", (2,), 2))
 
 
-def test_hn_en_match_z_formula_oracle():
+def test_hn_en_match_newton_oracle():
     for n in range(7):
         assert to_p(SymFunc.single("h", (n,) if n else (), n)).terms == h_in_p_oracle(n)
         assert to_p(SymFunc.single("e", (n,) if n else (), n)).terms == e_in_p_oracle(n)
@@ -191,6 +204,17 @@ def test_classical_identities_in_m():
         assert e_m.terms == {(1,) * n: F(1)}
         p_m = from_p(SymFunc.single("p", (n,), n), "m")
         assert p_m.terms == {(n,): F(1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from([lam for n in range(9) for lam in partitions_of(n)]),
+                       st.fractions(-40, 40, max_denominator=36), max_size=10))
+def test_from_p_to_m_matches_scalar_products_with_h(terms):
+    # [m_lam] f = <f, h_lam>, one scalar product per lam of every weight up to 8
+    f = SymFunc("p", terms, 8)
+    expected = {lam: scalar_product(f, SymFunc.single("h", lam, 8))
+                for n in range(9) for lam in partitions_of(n)}
+    assert from_p(f, "m") == SymFunc("m", expected, 8)
 
 
 def count_monomials(lam, k):
@@ -399,7 +423,8 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
     assert {"symkron.bases._column", "symkron.bases._weight_index",
             "symkron.bases._h_in_p", "symkron.bases._hlam_in_p",
             "symkron.bases._p_in_h", "symkron.bases._plam_in_h",
-            "symkron.bases._s_in_p", "symkron.bases._m_in_p_all",
+            "symkron.bases._s_in_p", "symkron.bases._m_in_p",
+            "symkron.bases._p_in_m",
             "symkron.named._expand_cached",
             "symkron.partitions._partition_tuples"} <= memos.keys()
     assert all(memo.cache_info().currsize for memo in memos.values())

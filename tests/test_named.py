@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symkron.named import (
     NamedSeries,
@@ -128,6 +129,13 @@ def test_product_form_matches_direct_kronecker():
     for a, b in itertools.combinations_with_replacement(five, 2):
         direct = kronecker(expand(a, 6), expand(b, 6))
         assert kronecker_product_form(a, b, 6) == direct
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TAGS), st.sampled_from(TAGS), st.integers(0, 10))
+def test_product_form_matches_direct_kronecker_for_any_two_tags(a, b, degree):
+    assert kronecker_product_form(a, b, degree) == \
+        kronecker(expand(a, degree), expand(b, degree))
 
 
 def test_triple_kronecker_power_is_order_independent():

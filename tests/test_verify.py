@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from symkron import named
-from symkron.bases import from_p
+from symkron.bases import character, from_p
 from symkron.named import NamedSeries
-from symkron.partitions import Partition
+from symkron.partitions import Partition, partitions_of, z
 from symkron.products import kronecker
 from symkron.series import SymFunc, exp_series
 from symkron.verify import (
@@ -15,6 +15,7 @@ from symkron.verify import (
     first_difference,
     run_suite,
     suite_exit_status,
+    TABLE,
     table_pairs,
     verify_factor_closed_forms,
     verify_intro_identity,
@@ -57,6 +58,39 @@ def test_table_entry_s_s_degree_two():
     assert report.passed()
     lhs = kronecker(named.expand("S", 2), named.expand("S", 2))
     assert lhs == SymFunc("p", {(): 1, (1,): 1, (1, 1): 2}, 2)
+
+
+#: The Schur support of each table series: every coefficient on it is 1.
+SCHUR_SUPPORTS = {
+    NamedSeries.H: lambda lam: len(lam) <= 1,
+    NamedSeries.E: lambda lam: set(lam) <= {1},
+    NamedSeries.S: lambda lam: True,
+    NamedSeries.SHINV: lambda lam: all(part % 2 == 0 for part in lam.conjugate()),
+    NamedSeries.SEINV: lambda lam: all(part % 2 == 0 for part in lam),
+}
+
+
+def test_table_in_schur_coordinates_matches_character_sums():
+    # [s_nu](A (x) B) = sum over rho of T_A(rho) T_B(rho) chi^nu(rho) / z_rho,
+    # with T_X(rho) the sum of chi^lam(rho) over the Schur support of X.  The
+    # right side uses ``character`` only: no expansion, product or conversion.
+    degree = 10
+    traces = {}
+
+    def trace(tag, rho):
+        if (tag, rho) not in traces:
+            traces[tag, rho] = sum(character(lam, rho) for lam in partitions_of(rho.weight)
+                                   if SCHUR_SUPPORTS[tag](lam))
+        return traces[tag, rho]
+
+    for (a, b), rhs in TABLE.items():
+        product = SymFunc.one("p", degree)
+        for tag in rhs:
+            product = product * named.expand(tag, degree)
+        expected = {nu: sum((F(trace(a, rho) * trace(b, rho) * character(nu, rho), z(rho))
+                             for rho in partitions_of(n)), F(0))
+                    for n in range(degree + 1) for nu in partitions_of(n)}
+        assert from_p(product, "s") == SymFunc("s", expected, degree), (a, b)
 
 
 def test_first_difference_negative_control():
