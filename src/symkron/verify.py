@@ -16,7 +16,7 @@ from math import comb
 from typing import Optional
 
 from symkron import named
-from symkron.bases import from_p
+from symkron.bases import _omega, from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of
 from symkron.products import kron_factor, kronecker, poly_exp, poly_mul
@@ -160,30 +160,34 @@ def verify_intro_identity(degree: int) -> VerificationReport:
     return _compare_product("intro:S⊗S=Modd·G", _S, _S, (_MODD, _G), degree)
 
 
-def _parity_support(degree: int, conjugated: bool) -> SymFunc:
-    terms = {}
-    for n in range(degree + 1):
-        for lam in partitions_of(n):
-            probe = lam.conjugate() if conjugated else lam
-            if all(p % 2 == 0 for p in probe):
-                terms[lam] = 1
+def _parity_support(degree: int) -> SymFunc:
+    """The 0/1 Schur series over lam with all parts even: lam = 2 mu for
+    every mu |- m, 2m <= degree."""
+    terms = {Partition([2 * part for part in mu]): 1
+             for m in range(degree // 2 + 1) for mu in partitions_of(m)}
     return SymFunc("s", terms, degree)
 
 
 def verify_support_claims(degree: int) -> VerificationReport:
-    """Schur-basis support of SEinv and SHinv.
+    """Schur-basis support of SEinv and SHinv, by one p -> s conversion.
 
     SEinv must be the 0/1 sum of s_lam over lam with all parts even, and
-    SHinv the 0/1 sum over lam whose conjugate has all parts even.  (The
-    even condition on SEinv is forced by the table itself: the degree-n
-    slice of E (x) SHinv is e_n (x) -, a conjugation twist.)
+    SHinv the 0/1 sum over lam whose conjugate has all parts even.  The
+    report first checks SHinv = omega(SEinv) exactly in p (omega sends p_mu
+    to (-1)^(|mu| - len(mu)) p_mu; it is the table entry E (x) SEinv = SHinv
+    read weight by weight, since e_n (x) f = omega(f)), so a failure there
+    reports a p-basis partition.  It then converts SEinv alone to s and
+    compares it with the even-part support.  One conversion is enough:
+    omega(s_lam) = s_lam' (Macdonald, I.3), so once SHinv = omega(SEinv),
+    SHinv's Schur coefficient at lam is SEinv's at lam', and the claimed
+    SHinv support is the conjugate of the even-part support.
     """
     started = time.perf_counter()
-    disc = first_difference(from_p(named.expand(_SE, degree), "s"),
-                            _parity_support(degree, conjugated=False))
+    se = named.expand(_SE, degree)
+    disc = first_difference(SymFunc._of("p", _omega(se.terms), degree),
+                            named.expand(_SH, degree))
     if disc is None:
-        disc = first_difference(from_p(named.expand(_SH, degree), "s"),
-                                _parity_support(degree, conjugated=True))
+        disc = first_difference(from_p(se, "s"), _parity_support(degree))
     return _report("support:SEinv,SHinv", degree, started, disc)
 
 

@@ -63,7 +63,7 @@ def test_validating_builders_establish_the_invariant():
         SymFunc.zero("m", 2),
         exponent("S", 8),
         UnivariateFactor(2, (1, 2, 3)).to_symfunc(),
-        _parity_support(8, conjugated=True),
+        _parity_support(8),
     ]
     built += [SymFunc.from_json(random_symfunc(rng, basis, 6).to_json()) for basis in BASES]
     for f in built:

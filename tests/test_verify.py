@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symkron import named
-from symkron.bases import character, from_p
+from symkron.bases import _omega, character, from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of, z
 from symkron.products import kronecker
@@ -132,6 +132,81 @@ def test_support_claims_reports():
     report = verify_support_claims(6)
     assert report.passed()
     assert report.identity == "support:SEinv,SHinv"
+
+
+def test_shinv_direct_conversion_is_the_conjugate_even_support():
+    # The direct p -> s route for SHinv, which the support report replaces
+    # by the omega check; it stays here as SHinv's second route.
+    for degree in range(13):
+        sh = from_p(named.expand("SHinv", degree), "s")
+        expected = {lam: 1 for n in range(degree + 1) for lam in partitions_of(n)
+                    if all(part % 2 == 0 for part in lam.conjugate())}
+        assert sh.terms == expected, degree
+        assert all(type(c) is F and c == 1 for c in sh.terms.values())
+
+
+def _mutated_expand(changes):
+    """named.expand with p-coefficient deltas added to some tags' series."""
+    real_expand = named.expand
+
+    def expand(tag, degree):
+        f = real_expand(tag, degree)
+        delta = changes.get(NamedSeries.from_tag(tag))
+        if delta is None:
+            return f
+        terms = dict(f.terms)
+        for mu, c in delta.items():
+            terms[mu] = terms.get(mu, 0) + c
+        return SymFunc("p", terms, degree)
+
+    return expand
+
+
+def _count_from_p(monkeypatch):
+    calls = []
+
+    def counted(f, target):
+        calls.append(target)
+        return from_p(f, target)
+
+    monkeypatch.setattr("symkron.verify.from_p", counted)
+    return calls
+
+
+def test_support_claims_convert_once(monkeypatch):
+    calls = _count_from_p(monkeypatch)
+    assert verify_support_claims(10).passed()
+    assert calls == ["s"]
+
+
+def test_support_claims_fail_on_a_mutated_shinv_coefficient(monkeypatch):
+    mu = Partition((3, 2, 1))
+    monkeypatch.setattr("symkron.verify.named.expand",
+                        _mutated_expand({NamedSeries.SHINV: {mu: 1}}))
+    calls = _count_from_p(monkeypatch)
+    report = verify_support_claims(8)
+    assert not report.passed()
+    # Caught by the omega check in p, before any conversion.
+    assert report.first_discrepancy.partition == mu
+    assert report.first_discrepancy.rhs == report.first_discrepancy.lhs + 1
+    assert calls == []
+
+
+def test_support_claims_fail_at_p_to_s_when_omega_still_holds(monkeypatch):
+    # The same change to SEinv and its omega image to SHinv keeps
+    # SHinv = omega(SEinv), so only the conversion can catch it.
+    mu = Partition((3, 2, 1))
+    change = {mu: F(1)}
+    monkeypatch.setattr("symkron.verify.named.expand", _mutated_expand(
+        {NamedSeries.SEINV: change, NamedSeries.SHINV: _omega(change)}))
+    calls = _count_from_p(monkeypatch)
+    report = verify_support_claims(8)
+    assert not report.passed()
+    assert calls == ["s"]
+    disc = report.first_discrepancy
+    assert disc.partition.weight == mu.weight
+    # p_mu = sum over lam of chi^lam(mu) s_lam
+    assert disc.lhs - disc.rhs == character(disc.partition, mu)
 
 
 def test_factor_closed_forms():
