@@ -3,9 +3,11 @@
 The p basis is the canonical coordinate system; every conversion routes
 through it:
 
-* h and p are multiplicative, so a table per single part, multiplied out,
-  serves each direction: h_n = sum over mu of p_mu / z(mu), and
-  p_n = sum over lam of (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam;
+* h and p are multiplicative, so each direction is a table memoized per
+  partition and built on the partition trie as the character columns are:
+  a one-part key is its closed form, h_n = sum over mu of p_mu / z(mu) and
+  p_n = sum over lam of (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam,
+  and a longer key is its first part's table times its tail's;
 * e as omega(h): the involution omega sends h_lam to e_lam and acts on
   power sums as p_mu -> (-1)^(|mu| - len(mu)) p_mu;
 * m and s by the Hall duality: for dual bases b and b* (m* = h, s* = s),
@@ -195,32 +197,28 @@ def _omega(terms: dict) -> dict:
 
 
 @functools.cache
-def _h_in_p(n: int) -> dict:
-    """h_n = sum over mu of p_mu / z(mu)."""
-    return {mu: Fraction(1, z(mu)) for mu in partitions_of(n)}
+def _hlam_in_p(lam: tuple) -> dict:
+    """h_lam over p: the closed form for one part, else h_(lam_1) times the
+    tail's table."""
+    if len(lam) > 1:
+        return kernels.mul_terms(_hlam_in_p(lam[:1]), _hlam_in_p(lam[1:]), sum(lam))
+    if not lam:
+        return {Partition(): _ONE}
+    return {mu: Fraction(1, z(mu)) for mu in partitions_of(lam[0])}
 
 
 @functools.cache
-def _p_in_h(n: int) -> dict:
-    """p_n = sum over lam of (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam,
-    with m_i(lam) the multiplicity of i in lam; every coefficient is an integer."""
+def _plam_in_h(mu: tuple) -> dict:
+    """p_mu over h: the closed form for one part (integer coefficients, m_i
+    the multiplicities), else p_(mu_1) times the tail's table."""
+    if len(mu) > 1:
+        return kernels.mul_terms(_plam_in_h(mu[:1]), _plam_in_h(mu[1:]), sum(mu))
+    if not mu:
+        return {Partition(): _ONE}
+    n = mu[0]
     return {lam: Fraction((-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1),
                           prod(map(factorial, lam.multiplicities().values())))
             for lam in partitions_of(n)}
-
-
-def _product(table, lam: tuple) -> dict:
-    """prod_i table(lam_i), multiplied out."""
-    out = {Partition(): _ONE}
-    weight = sum(lam)
-    for part in lam:
-        out = kernels.mul_terms(out, table(part), weight)
-    return out
-
-
-#: h_lam over p and p_mu over h, each a product of its single-part table.
-_hlam_in_p = functools.cache(functools.partial(_product, _h_in_p))
-_plam_in_h = functools.cache(functools.partial(_product, _p_in_h))
 
 
 @functools.cache
@@ -267,7 +265,7 @@ def clear_caches() -> None:
     valid, so the call is harmless apart from the recomputation it causes.
     """
     _char_cache.clear()
-    for memo in (_column, _weight_index, _h_in_p, _hlam_in_p, _p_in_h, _plam_in_h,
+    for memo in (_column, _weight_index, _hlam_in_p, _plam_in_h,
                  _s_in_p, _m_in_p, _p_in_m):
         memo.cache_clear()
 

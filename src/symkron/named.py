@@ -113,6 +113,8 @@ def _factor_exponent(tag: NamedSeries, n: int, order: int) -> list:
 
 def exponent(tag, degree: int) -> SymFunc:
     """The p-basis exponent polynomial of the series, truncated at degree."""
+    if type(degree) is not int or degree < 0:  # bool is an int subclass
+        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
     tag = NamedSeries.from_tag(tag)
     terms = {}
     for n in range(1, degree + 1):
@@ -133,8 +135,8 @@ def expand(tag, degree: int) -> SymFunc:
     Results are cached per (tag, degree); SymFunc values are immutable, so
     sharing is safe.
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    if type(degree) is not int or degree < 0:  # bool is an int subclass
+        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
     return _expand_cached(NamedSeries.from_tag(tag), degree)
 
 
@@ -174,24 +176,25 @@ def factor(tag, n: int, order: int) -> UnivariateFactor:
     """The single variable-n factor of the series, to the given k-order:
     exp of the univariate exponent listed in the module docstring."""
     tag = NamedSeries.from_tag(tag)
-    if n < 1:
-        raise ValueError("variable index must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    if type(n) is not int or n < 1:  # bool is an int subclass
+        raise ValueError(f"variable index must be a positive integer: {n!r}")
+    if type(order) is not int or order < 0:
+        raise ValueError(f"order must be a non-negative integer: {order!r}")
     return UnivariateFactor(n, poly_exp(_factor_exponent(tag, n, order), order))
 
 
 def factorize(tag, degree: int) -> FactorizedSeries:
     """Per-variable factorization: factor at n is exp of the univariate
     exponent, truncated in k at degree // n.  Trivial factors are omitted."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    if type(degree) is not int or degree < 0:  # bool is an int subclass
+        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
     tag = NamedSeries.from_tag(tag)
     factors = {}
     for n in range(1, degree + 1):
         order = degree // n
-        if any(_factor_exponent(tag, n, order)):
-            factors[n] = factor(tag, n, order)
+        exponent_n = _factor_exponent(tag, n, order)
+        if any(exponent_n):
+            factors[n] = UnivariateFactor(n, poly_exp(exponent_n, order))
     return FactorizedSeries(degree, factors)
 
 
@@ -199,10 +202,7 @@ def kronecker_product_form(a, b, degree: int) -> SymFunc:
     """Kronecker product computed through the per-variable factorization:
     factor both series, Kronecker the factors variable by variable, and
     re-expand.  Must agree exactly with the direct p-basis product."""
-    fa = factorize(a, degree)
-    fb = factorize(b, degree)
-    result = SymFunc.one("p", degree)
-    for n in sorted(set(fa.factors) & set(fb.factors)):
-        g = kron_factor(fa.factors[n], fb.factors[n])
-        result = result * g.to_symfunc(degree=degree)
-    return result
+    fa = factorize(a, degree).factors
+    fb = factorize(b, degree).factors
+    return FactorizedSeries(degree, {n: kron_factor(fa[n], fb[n])
+                                     for n in fa.keys() & fb.keys()}).expand()

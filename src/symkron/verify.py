@@ -245,9 +245,9 @@ def run_suite(degree: int, what: str = "all") -> list[VerificationReport]:
     """The reports of one verify target, in canonical order: "table" (the 15
     table entries), "intro" (the S (x) S identity), "support" (the support
     claims), "factors" (the factor closed forms for n <= 4), or "all".
-    The degree must be non-negative."""
-    if degree < 0:
-        raise ValueError(f"verify degree must be non-negative, got {degree}")
+    The degree must be a non-negative integer."""
+    if type(degree) is not int or degree < 0:  # bool is an int subclass
+        raise ValueError(f"verify degree must be a non-negative integer: {degree!r}")
     targets = {
         "table": lambda: [verify_table_entry(a, b, degree) for a, b in table_pairs()],
         "intro": lambda: [verify_intro_identity(degree)],

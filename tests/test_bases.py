@@ -150,10 +150,35 @@ def test_schur_11_equals_e2():
     assert to_p(SymFunc.single("s", (1, 1), 2)) == to_p(SymFunc.single("e", (2,), 2))
 
 
+def oracle_product(tables, lam):
+    """prod_i tables[lam_i] over p, multiplied out term by term."""
+    out = {(): F(1)}
+    for part in lam:
+        grown = {}
+        for a, ca in out.items():
+            for b, cb in tables[part].items():
+                key = tuple(sorted(a + b, reverse=True))
+                grown[key] = grown.get(key, 0) + ca * cb
+        out = {key: c for key, c in grown.items() if c}
+    return out
+
+
 def test_hn_en_match_newton_oracle():
-    for n in range(7):
-        assert to_p(SymFunc.single("h", (n,) if n else (), n)).terms == h_in_p_oracle(n)
-        assert to_p(SymFunc.single("e", (n,) if n else (), n)).terms == e_in_p_oracle(n)
+    # every h_lam, e_lam and p_mu table of weight <= 10, against products of
+    # the Newton oracle's single-part tables
+    h = [h_in_p_oracle(n) for n in range(11)]
+    e = [e_in_p_oracle(n) for n in range(11)]
+    for n in range(11):
+        h_products = {lam: oracle_product(h, lam) for lam in partitions_of(n)}
+        for lam, h_lam in h_products.items():
+            assert to_p(SymFunc.single("h", lam, n)).terms == h_lam
+            assert to_p(SymFunc.single("e", lam, n)).terms == oracle_product(e, lam)
+        for mu in partitions_of(n):
+            back = {}
+            for lam, c in from_p(SymFunc.single("p", mu, n), "h").terms.items():
+                for nu, d in h_products[lam].items():
+                    back[nu] = back.get(nu, 0) + c * d
+            assert {nu: c for nu, c in back.items() if c} == {mu: 1}
 
 
 def test_from_p_examples():
@@ -421,8 +446,7 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
              for module in (symkron.bases, symkron.named, symkron.partitions)
              for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
     assert {"symkron.bases._column", "symkron.bases._weight_index",
-            "symkron.bases._h_in_p", "symkron.bases._hlam_in_p",
-            "symkron.bases._p_in_h", "symkron.bases._plam_in_h",
+            "symkron.bases._hlam_in_p", "symkron.bases._plam_in_h",
             "symkron.bases._s_in_p", "symkron.bases._m_in_p",
             "symkron.bases._p_in_m",
             "symkron.named._expand_cached",

@@ -157,3 +157,12 @@ def test_factor_and_factorize_reject_negative_order():
         factor("S", 2, -1)
     with pytest.raises(ValueError, match="degree"):
         factorize("S", -3)
+    # a bool or a non-int used to slip through, or fail inside range or poly_exp
+    for bad in (True, 2.5, 2.0):
+        with pytest.raises(ValueError, match="order"):
+            factor("S", 2, bad)
+        with pytest.raises(ValueError, match="variable index"):
+            factor("S", bad, 2)
+        for call in (expand, exponent, factorize):
+            with pytest.raises(ValueError, match="degree"):
+                call("H", bad)

@@ -241,9 +241,10 @@ def test_run_suite_targets_partition_the_whole_suite():
 
 def test_run_suite_rejects_negative_degree():
     for what in ("table", "intro", "support", "factors", "all"):
-        with pytest.raises(ValueError, match="non-negative") as info:
-            run_suite(-3, what)
-        assert "--degree" not in str(info.value), what
+        for bad in (-3, True, 2.5):
+            with pytest.raises(ValueError, match="non-negative") as info:
+                run_suite(bad, what)
+            assert "--degree" not in str(info.value), what
 
 
 def test_graded_slices_of_verified_entries():
