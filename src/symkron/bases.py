@@ -273,7 +273,9 @@ def clear_caches() -> None:
 # -------------------------------------------------------------- conversions
 
 def _change_basis(terms: dict, table) -> dict:
-    """sum over lam of terms[lam] * table(lam): one sparse change of basis.
+    """sum over lam of terms[lam] * table(lam): one sparse linear
+    combination of rows, as a change of basis (``to_p``, ``from_p``) or a
+    substitution (``products.plethysm``).
 
     The input is brought over the lcm of its denominators and the rows over
     the lcm of theirs, so the sum runs on Python ints and each output key

@@ -64,8 +64,8 @@ def partitions_of(n: int) -> list[Partition]:
 
     partitions_of(0) == [Partition(())].
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if type(n) is not int or n < 0:  # bool is an int subclass
+        raise ValueError(f"n must be a non-negative integer: {n!r}")
     return [Partition(t) for t in _partition_tuples(n, n)]
 
 

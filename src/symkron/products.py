@@ -75,22 +75,15 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
             dilated[m] = cached
         return cached
 
-    out: dict[Partition, Fraction] = {}
-    for lam, c in fp.terms.items():
-        if lam.weight > degree:
-            continue  # every part of g has degree >= 1
+    def substitute(lam: Partition) -> dict:
         acc = {Partition(): _ONE}
         for m in lam:
             acc = kernels.mul_terms(acc, dilate(m), degree)
-            if not acc:
-                break
-        for key, v in acc.items():
-            s = out.get(key, _ZERO) + c * v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return SymFunc._of("p", out, degree)
+        return acc
+
+    # every part of g has degree >= 1, so heavier terms of f vanish
+    kept = {lam: c for lam, c in fp.terms.items() if lam.weight <= degree}
+    return SymFunc._of("p", bases._change_basis(kept, substitute), degree)
 
 
 # ----------------------------------------------------- univariate factors

@@ -56,8 +56,9 @@ def test_each_partition_exactly_once():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(ValueError):
-        partitions_of(-1)
+    for n in (-1, True, 2.5):  # a bool is an int subclass
+        with pytest.raises(ValueError):
+            partitions_of(n)
 
 
 @given(st.integers(min_value=0, max_value=12))

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,7 +8,13 @@ from symkron import named
 from symkron.bases import _omega, character, from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of, z
-from symkron.products import kronecker
+from symkron.products import (
+    UnivariateFactor,
+    kron_factor,
+    kronecker,
+    poly_exp,
+    poly_mul,
+)
 from symkron.series import SymFunc, exp_series
 from symkron.verify import (
     Discrepancy,
@@ -215,6 +222,51 @@ def test_factor_closed_forms():
         assert report.passed(), report.first_discrepancy
     with pytest.raises(ValueError):
         verify_factor_closed_forms(2, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factor_closed_forms_match_their_series(n):
+    # The closed forms as series, the route the report no longer takes:
+    # (1 - x^2)^(-1/2), times exp(x / (n (1 - x))) for odd n.
+    order = 20
+    binomials = [F(comb(j, j // 2), 2 ** j) if j % 2 == 0 else F(0)
+                 for j in range(order + 1)]
+    if n % 2 == 0:
+        expected = binomials
+    else:
+        expected = poly_mul(poly_exp([F(0)] + [F(1, n)] * order, order),
+                            binomials, order)
+    f = named.factor("S", n, order)
+    assert list(kron_factor(f, f).coeffs) == expected
+
+
+def _bump_kron_factor(monkeypatch, k):
+    """Make the report see g_k + 1 in place of g_k."""
+    def bumped(a, b):
+        coeffs = list(kron_factor(a, b).coeffs)
+        coeffs[k] += 1
+        return UnivariateFactor(a.n, coeffs)
+
+    monkeypatch.setattr("symkron.verify.kron_factor", bumped)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_factor_certificate_fails_on_a_mutated_coefficient(monkeypatch, n):
+    _bump_kron_factor(monkeypatch, 5)
+    report = verify_factor_closed_forms(n, 10)
+    assert not report.passed()
+    # g_5 first enters the residual of x^4, as D(0) * 5 * g_5.
+    disc = report.first_discrepancy
+    assert disc.partition == (n,) * 4
+    assert disc.lhs == 5 * (1 if n % 2 == 0 else n)
+    assert disc.rhs == 0
+
+
+def test_factor_certificate_fails_on_a_mutated_constant_term(monkeypatch):
+    _bump_kron_factor(monkeypatch, 0)
+    report = verify_factor_closed_forms(2, 10)
+    assert not report.passed()
+    assert report.first_discrepancy == Discrepancy(Partition(()), F(2), F(1))
 
 
 def test_run_suite_all_pass():
