@@ -34,7 +34,9 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
 The character memo of the oracle is a plain dict; every other table is a
 ``functools.cache`` function.  Both are append-only, so concurrent readers
 are safe (a duplicated computation stores the same value twice);
-``clear_caches`` empties them all.
+``clear_caches`` empties them all.  A single-term conversion returns its
+memo row itself as the result's ``terms`` (scaled copies otherwise), so
+a row may be shared by any number of values and must never be mutated.
 """
 
 from __future__ import annotations
@@ -277,10 +279,16 @@ def _change_basis(terms: dict, table) -> dict:
     combination of rows, as a change of basis (``to_p``, ``from_p``) or a
     substitution (``products.plethysm``).
 
-    The input is brought over the lcm of its denominators and the rows over
-    the lcm of theirs, so the sum runs on Python ints and each output key
-    becomes one Fraction.
+    A single term c * b_lam is its row, scaled: the row ``table(lam)``
+    itself when c == 1, so the result may be a shared memo row and must
+    never be mutated.  Otherwise the input is brought over the lcm of its
+    denominators and the rows over the lcm of theirs, so the sum runs on
+    Python ints and each output key becomes one Fraction.
     """
+    if len(terms) == 1:
+        [(lam, c)] = terms.items()
+        row = table(lam)
+        return row if c == 1 else {mu: c * d for mu, d in row.items()}
     rows = [(c, table(lam)) for lam, c in terms.items()]
     den_in = lcm(*[c.denominator for c in terms.values()])
     den_rows = lcm(*{d.denominator for _, row in rows for d in row.values()})

@@ -8,7 +8,10 @@ minimum N of its inputs.  Coefficients are ``fractions.Fraction`` values,
 so everything is exact and canonical (lowest terms, positive denominator).
 
 Values are immutable by convention: operations return new objects, and the
-``terms`` dict of an existing value must never be mutated.
+``terms`` dict of an existing value must never be mutated.  A result's
+``terms`` may be shared: a single-term conversion in ``bases`` returns a
+memoized change-of-basis row itself, which every later conversion of the
+same term returns again.
 
 Validation happens once, at the boundary.  The public constructor, the
 ``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key

@@ -25,7 +25,7 @@ from symkron.bases import _omega, from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of
 from symkron.products import kron_factor, kronecker
-from symkron.series import SymFunc, term_order
+from symkron.series import BasisError, SymFunc, term_order
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -115,7 +115,18 @@ class VerificationReport:
 
 def first_difference(lhs: SymFunc, rhs: SymFunc) -> Optional[Discrepancy]:
     """First coefficient where the two series differ, scanning partitions in
-    (weight, lexicographic) order; None when every coefficient matches."""
+    (weight, lexicographic) order; None when every coefficient matches.
+
+    Both series must share a basis (BasisError otherwise) and a truncation
+    degree (ValueError otherwise): the coefficients of different bases do
+    not compare, and above the smaller degree they are unknown, not zero.
+    """
+    if lhs.basis != rhs.basis:
+        raise BasisError(f"cannot compare a {lhs.basis}-basis series "
+                         f"with a {rhs.basis}-basis series")
+    if lhs.degree != rhs.degree:
+        raise ValueError(f"cannot compare series truncated at degrees "
+                         f"{lhs.degree} and {rhs.degree}")
     if lhs.terms == rhs.terms:
         return None
     keys = set(lhs.terms) | set(rhs.terms)

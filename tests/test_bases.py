@@ -439,6 +439,8 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
         return (from_p(f, "s"), from_p(f, "m"), from_p(f, "e"), from_p(f, "h"),
                 to_p(SymFunc.single("s", (4, 3, 1, 1), 9)),
                 to_p(SymFunc.single("m", (2, 2, 1), 5)),
+                *(to_p(SymFunc.single(b, (3, 2, 1), 7, F(-3, 2))) for b in "shem"),
+                *(from_p(SymFunc.single("p", (3, 1, 1), 5), b) for b in "hem"),
                 character((3, 2, 1), (2, 2, 1, 1)))
 
     warm = results()
@@ -458,6 +460,44 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
         dict.fromkeys(memos, 0)
     assert not symkron.bases._char_cache
     assert results() == warm
+
+
+def test_single_term_conversions_share_rows_and_leave_them_intact():
+    # A single term converts to its memo row itself (scaled copies
+    # otherwise); no operation may write through such a shared row.
+    lam = Partition((3, 2, 1))
+    memos = [symkron.bases._s_in_p, symkron.bases._hlam_in_p, symkron.bases._m_in_p,
+             symkron.bases._plam_in_h, symkron.bases._p_in_m]
+    keys = [lam, Partition((2,)), Partition((4, 2)), Partition((1,) * 6)]
+    snapshot = {(memo, key): dict(memo(key)) for memo in memos for key in keys}
+
+    assert to_p(SymFunc.single("s", lam, 6)).terms is symkron.bases._s_in_p(lam)
+    assert to_p(SymFunc.single("h", lam, 6)).terms is symkron.bases._hlam_in_p(lam)
+    assert to_p(SymFunc.single("m", lam, 6)).terms is symkron.bases._m_in_p(lam)
+    assert from_p(SymFunc.single("p", lam, 6), "h").terms is symkron.bases._plam_in_h(lam)
+    assert from_p(SymFunc.single("p", lam, 6), "m").terms is symkron.bases._p_in_m(lam)
+
+    assert kronecker_coefficient(lam, lam, lam) == kronecker_coefficient(lam, lam, lam,
+                                                                         oracle=True)
+    kronecker(SymFunc.single("s", lam, 6), SymFunc.single("m", (4, 2), 6))
+    kronecker(SymFunc.single("h", lam, 6), SymFunc.single("e", (1,) * 6, 6))
+    scalar_product(SymFunc.single("m", lam, 6), SymFunc.single("h", lam, 6))
+    h2 = to_p(SymFunc.single("h", (2,), 6))
+    symkron.plethysm(to_p(SymFunc.single("s", (2,), 6)), h2)
+    symkron.plethysm(SymFunc.single("s", (2, 1), 6), h2)
+    c = F(-3, 2)
+    for key in keys:
+        for b in "sehm":
+            one = to_p(SymFunc.single(b, key, 6))
+            assert to_p(SymFunc.single(b, key, 6, c)) == one.scale(c)
+        for b in "hem":
+            one = from_p(SymFunc.single("p", key, 6), b)
+            assert from_p(SymFunc.single("p", key, 6, c), b) == one.scale(c)
+    # the common-denominator sum of two terms agrees with the two rows
+    two = SymFunc("s", {lam: c, (4, 2): 1}, 6)
+    assert to_p(two) == to_p(SymFunc.single("s", lam, 6, c)) + to_p(SymFunc.single("s", (4, 2), 6))
+
+    assert {(memo, key): memo(key) for memo, key in snapshot} == snapshot
 
 
 # ------------------------------------------------------------- omega route

@@ -15,7 +15,7 @@ from symkron.products import (
     poly_exp,
     poly_mul,
 )
-from symkron.series import SymFunc, exp_series
+from symkron.series import BasisError, SymFunc, exp_series
 from symkron.verify import (
     Discrepancy,
     expected_product,
@@ -111,6 +111,15 @@ def test_first_difference_negative_control():
 
 def test_first_difference_none_on_equal():
     assert first_difference(named.expand("G", 5), named.expand("G", 5)) is None
+
+
+def test_first_difference_rejects_mixed_bases_and_degrees():
+    # s_2 and p_2 have the same terms dict but are different functions
+    with pytest.raises(BasisError):
+        first_difference(SymFunc.single("s", (2,), 2), SymFunc.single("p", (2,), 2))
+    # above degree 2 the coefficients of the left side are unknown, not zero
+    with pytest.raises(ValueError, match="degrees 2 and 4"):
+        first_difference(named.expand("S", 2), named.expand("S", 4))
 
 
 def test_intro_identity_small_degrees():
