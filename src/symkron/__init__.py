@@ -7,7 +7,7 @@ pure Python: the kernels in symkron._kernels exist once each, and
 ``backend_name`` always reports "python".
 """
 
-from symkron import bases, named, partitions
+from symkron import _kernels, bases, named, partitions
 from symkron._kernels import backend_name
 from symkron.partitions import Partition, conjugate, partitions_of, z
 from symkron.series import (
@@ -59,7 +59,8 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every memo in the package: the named-series expansions, the
-    partition lists, and the conversion tables and character memos of
+    partition lists, the memoized ``z``, the kernels' code -> Partition
+    tables, and the conversion tables and character memos of
     ``symkron.bases``.
 
     Lets a cold computation be measured in-process; results do not depend
@@ -67,6 +68,8 @@ def clear_caches() -> None:
     """
     named._expand_cached.cache_clear()
     partitions._partition_tuples.cache_clear()
+    partitions._z.cache_clear()
+    _kernels._decoded.cache_clear()
     bases.clear_caches()
 
 

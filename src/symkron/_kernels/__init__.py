@@ -13,10 +13,16 @@ the int sum of 2**((part - 1) * shift) over its parts, with
 holds that part's multiplicity, so merging two keys is adding their codes.
 Every key they code or produce weighs at most ``limit``, so no multiplicity
 (at most ``limit``) overflows its field.  They run one pair loop,
-``_pair_sums``, on weight slices of coded rows, and each output code is
-decoded once, at the end; a code equal to an input key's is that key.
+``_pair_sums``, on weight slices of coded rows, and the output codes are
+decoded at the end.  A code stands for the same partition under every
+limit of its width, so each code is decoded and validated once per process
+and width: ``_decoded(shift)`` keeps the ``Partition`` of every code
+decoded at that width, and every result shares that one key object per
+partition.  Input keys never enter the table; callers may pass plain
+tuples.
 """
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -35,16 +41,14 @@ def _units(limit: int) -> tuple[int, list]:
     return shift, [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
 
 
-def _slices(terms: dict, limit: int, unit: list, keys: dict) -> tuple[dict, int]:
+def _slices(terms: dict, limit: int, unit: list) -> tuple[dict, int]:
     """{weight: [(code, numerator), ...]} for every key of weight <= limit,
-    and the common denominator of the numerators.  Each code is recorded in
-    ``keys`` with the key it stands for."""
+    and the common denominator of the numerators."""
     kept = [(k, c) for k, c in terms.items() if sum(k) <= limit]
     den = lcm(*[c.denominator for _, c in kept])
     slices: dict = {}
     for k, c in kept:
         code = sum(map(unit.__getitem__, k))
-        keys[code] = k
         slices.setdefault(sum(k), []).append((code, c.numerator * (den // c.denominator)))
     return slices, den
 
@@ -58,23 +62,39 @@ def _pair_sums(acc: dict, rows_a: list, rows_b: list) -> None:
             acc[code] = get(code, 0) + na * nb
 
 
-def _decode_into(out: dict, rows, den: int, keys: dict, shift: int) -> None:
-    """out[key] = Fraction(numerator, den) for every nonzero coded row."""
+@functools.cache
+def _decoded(shift: int) -> dict:
+    """The code -> Partition table of field width ``shift``, filled by
+    ``_decode_into`` for the life of the process (or until
+    ``symkron.clear_caches``): at most one entry per partition decoded at
+    that width."""
+    return {}
+
+
+def _decode(code: int, shift: int) -> Partition:
+    """The partition with multiplicity (code >> (part - 1) * shift) & mask
+    for each part size."""
     mask = (1 << shift) - 1
+    parts: list = []
+    part = 1
+    while code:
+        parts += [part] * (code & mask)
+        code >>= shift
+        part += 1
+    parts.reverse()
+    return Partition(parts)
+
+
+def _decode_into(out: dict, rows, den: int, shift: int) -> None:
+    """out[key] = Fraction(numerator, den) for every nonzero coded row,
+    each key taken from, or decoded once into, the table of its width."""
+    table = _decoded(shift)
     for code, v in rows:
-        if not v:
-            continue
-        key = keys.get(code)
-        if key is None:
-            parts: list = []
-            part = 1
-            while code:
-                parts += [part] * (code & mask)
-                code >>= shift
-                part += 1
-            parts.reverse()
-            key = Partition(parts)
-        out[key] = Fraction(v, den)
+        if v:
+            key = table.get(code)
+            if key is None:
+                key = table[code] = _decode(code, shift)
+            out[key] = Fraction(v, den)
 
 
 def mul_terms(a: dict, b: dict, limit: int) -> dict:
@@ -85,16 +105,15 @@ def mul_terms(a: dict, b: dict, limit: int) -> dict:
     slices whose weights add up to at most the limit runs the pair loop.
     """
     shift, unit = _units(limit)
-    keys: dict = {}
-    slices_a, da = _slices(a, limit, unit, keys)
-    slices_b, db = _slices(b, limit, unit, keys)
+    slices_a, da = _slices(a, limit, unit)
+    slices_b, db = _slices(b, limit, unit)
     acc: dict = {}
     for wa, rows_a in slices_a.items():
         for wb, rows_b in slices_b.items():
             if wa + wb <= limit:
                 _pair_sums(acc, rows_a, rows_b)
     out: dict = {}
-    _decode_into(out, acc.items(), da * db, keys, shift)
+    _decode_into(out, acc.items(), da * db, shift)
     return out
 
 
@@ -108,12 +127,11 @@ def exp_terms(terms: dict, limit: int) -> dict:
         k g_k = sum_{j=1..k} j f_j g_{k-j}.
 
     Every g_k stays coded, as integer numerators over one denominator of its
-    own, reduced by the gcd of the slice; the keys are decoded and the
-    Fractions built once, after the last weight.
+    own, reduced by the gcd of the slice; the keys are read from the
+    width's table and the Fractions built once, after the last weight.
     """
     shift, unit = _units(limit)
-    keys: dict = {}
-    slices, den_f = _slices(terms, limit, unit, keys)
+    slices, den_f = _slices(terms, limit, unit)
     jf = {j: [(code, j * v) for code, v in rows] for j, rows in sorted(slices.items()) if j}
     g: list[list] = [[(0, 1)]]
     dens = [1]
@@ -133,7 +151,7 @@ def exp_terms(terms: dict, limit: int) -> dict:
         dens.append(den // cut)
     out: dict = {}
     for rows, den in zip(g, dens):
-        _decode_into(out, rows, den, keys, shift)
+        _decode_into(out, rows, den, shift)
     return out
 
 

@@ -261,7 +261,9 @@ def _p_in_m(mu: tuple) -> dict:
 
 def clear_caches() -> None:
     """Empty every memo of this module: the character memo of the oracle,
-    the character columns and the change-of-basis tables.
+    the character columns and the change-of-basis tables.  The memoized
+    ``z`` and the kernels' code -> Partition tables, which these tables
+    read, are left to ``symkron.clear_caches``, which empties them too.
 
     Only for cold measurements and tests; values computed before stay
     valid, so the call is harmless apart from the recomputation it causes.

@@ -84,8 +84,14 @@ def z(lam) -> int:
 
     For lam with multiplicities r_1, r_2, ... this is the product of
     i**r_i * r_i! over the distinct part values i.  Exact arbitrary
-    precision; z(()) == 1.
+    precision; z(()) == 1.  Memoized per partition; lam that is not a
+    ``Partition`` is validated as one first (ValueError otherwise).
     """
+    return _z(lam if type(lam) is Partition else Partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _z(lam: Partition) -> int:
     result = 1
     prev = None
     count = 0

@@ -445,14 +445,16 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
 
     warm = results()
     memos = {f"{module.__name__}.{name}": obj
-             for module in (symkron.bases, symkron.named, symkron.partitions)
+             for module in (symkron.bases, symkron.named, symkron.partitions,
+                            symkron._kernels)
              for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
     assert {"symkron.bases._column", "symkron.bases._weight_index",
             "symkron.bases._hlam_in_p", "symkron.bases._plam_in_h",
             "symkron.bases._s_in_p", "symkron.bases._m_in_p",
             "symkron.bases._p_in_m",
             "symkron.named._expand_cached",
-            "symkron.partitions._partition_tuples"} <= memos.keys()
+            "symkron.partitions._partition_tuples", "symkron.partitions._z",
+            "symkron._kernels._decoded"} <= memos.keys()
     assert all(memo.cache_info().currsize for memo in memos.values())
     assert symkron.bases._char_cache
     symkron.clear_caches()

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import symkron
 from symkron import _kernels as kernels
-from symkron.partitions import partitions_of, z
+from symkron.partitions import Partition, partitions_of, z
 
 F = Fraction
 
@@ -106,3 +108,50 @@ def test_exp_matches_definition(a, limit):
     g = kernels.exp_terms(a, limit)
     assert g == exp_by_definition(a, limit)
     assert all(type(c) is Fraction for c in g.values())
+
+
+# Plain-tuple keys, as callers outside the package may pass them.
+SMALL = {tuple(lam): F(len(lam) - 2, sum(lam) + 1) for n in range(5) for lam in partitions_of(n)}
+CONSTANT_FREE = {k: F(1, len(k) + 1) for k in SMALL if 0 < sum(k) <= 3}
+
+
+@pytest.mark.parametrize("limits", [(8, 15), (15, 8), (7, 8), (8, 7)])
+def test_decoded_codes_serve_every_limit(limits):
+    # 8 and 15 share a field width, 7 and 8 do not; each order starts cold.
+    assert (8).bit_length() == (15).bit_length() != (7).bit_length()
+    symkron.clear_caches()
+    for limit in limits:
+        product = kernels.mul_terms(SMALL, SMALL, limit)
+        assert product == mul_by_definition(SMALL, SMALL, limit)
+        g = kernels.exp_terms(CONSTANT_FREE, limit)
+        assert g == exp_by_definition(CONSTANT_FREE, limit)
+        assert all(type(k) is Partition for k in (*product, *g))
+        table = kernels._decoded(limit.bit_length())
+        assert table and all(type(k) is Partition for k in table.values())
+
+
+@pytest.mark.parametrize("first", ["mul", "exp"])
+def test_calls_share_one_key_object_per_partition(first):
+    symkron.clear_caches()
+    calls = {"mul": lambda: kernels.mul_terms({(2,): F(1)}, {(1,): F(1), (2,): F(3)}, 9),
+             "exp": lambda: kernels.exp_terms({(1,): F(1), (2,): F(-1, 2)}, 12)}
+    second = calls["exp" if first == "mul" else "mul"]()
+    results = [calls[first](), second]
+    shared = results[0].keys() & results[1].keys()
+    assert Partition((2, 1)) in shared and Partition((2, 2)) in shared
+    for lam in shared:
+        a, b = (next(k for k in r if k == lam) for r in results)
+        assert a is b
+
+
+def test_plain_tuple_inputs_stay_out_of_the_table():
+    symkron.clear_caches()
+    a = {(1,): F(1), (): F(2)}
+    b = {(1,): F(-1), (2,): F(1, 3)}
+    product = kernels.mul_terms(a, b, 5)
+    assert product == mul_by_definition(a, b, 5)
+    assert product.keys() >= {(1,), (2,)}
+    assert all(type(k) is Partition for k in product)
+    table = kernels._decoded((5).bit_length())
+    assert all(type(k) is Partition for k in table.values())
+    assert not any(k is key for k in table.values() for key in (*a, *b))

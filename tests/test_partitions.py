@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from symkron import partitions
 from symkron.partitions import Partition, conjugate, partitions_of, z
 
 # p(0) .. p(12)
@@ -81,6 +82,30 @@ def test_z_examples():
     assert z(()) == 1
     # 1^1*1! * 4^2*2! * 7^2*2!
     assert z((7, 7, 4, 4, 1)) == 1 * 1 * 16 * 2 * 49 * 2 == 3136
+
+
+def test_z_accepts_any_partition_sequence_and_memoizes_per_partition():
+    assert z([3, 3, 1]) == z((3, 3, 1)) == z(Partition((3, 3, 1))) == 18
+    assert z([]) == 1
+    lam = Partition((5, 2, 2))
+    z(lam)
+    hits = partitions._z.cache_info().hits
+    assert z((5, 2, 2)) == z(lam) == 5 * 4 * 2
+    assert partitions._z.cache_info().hits == hits + 2
+
+
+# None of these is a partition, so each must raise rather than be answered
+# or cached; the tuples of bools and floats equal, and hash like, the
+# partitions (1, 1) and (2,) put in the memo first.
+@pytest.mark.parametrize("bad", [[1, 2, 1], [0], [-1, -1], [2.5], [True, True],
+                                 (True, True), (2.0,), ["2"], (1, 2)])
+def test_z_rejects_what_is_not_a_partition(bad):
+    z((1, 1))
+    z((2,))
+    size = partitions._z.cache_info().currsize
+    with pytest.raises(ValueError, match="parts must be"):
+        z(bad)
+    assert partitions._z.cache_info().currsize == size
 
 
 def cycle_type(perm):
