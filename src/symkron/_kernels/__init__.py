@@ -1,11 +1,14 @@
 """The exact-arithmetic kernels for sparse series in power-sum coordinates.
 
-Term maps are dicts keyed by ``Partition`` (weakly decreasing integer
-tuples) with ``fractions.Fraction`` values, and every key of a result is a
-``Partition``.  Each kernel exists once, in Python, and computes on Python
-ints: ``mul_terms``, ``exp_terms`` and ``scalar_terms`` bring their inputs
-over common denominators, ``kron_terms`` multiplies numerators and
-denominators apart, and only the results become ``Fraction`` objects.
+Term maps are keyed by ``Partition`` (weakly decreasing integer tuples)
+with ``fractions.Fraction`` values, and every key of a result is a
+``Partition``.  A term map is either a dict or an ``IntTerms``: the same
+map held as integer numerators over one denominator, a read-only
+``Mapping`` whose ``Fraction`` values are built when first read.  Each
+kernel exists once, in Python, and computes on Python ints: ``_ints``
+brings every input over one denominator (an ``IntTerms`` already is), and
+``mul_terms``, ``exp_terms`` and ``kron_terms`` return an ``IntTerms``, so
+a chain of kernels builds no ``Fraction`` at all.
 
 The two multiplicative kernels share one integer coding of keys.  A key is
 the int sum of 2**((part - 1) * shift) over its parts, with
@@ -23,6 +26,7 @@ tuples.
 """
 
 import functools
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,6 +38,89 @@ def backend_name() -> str:
     return "python"
 
 
+class IntTerms(Mapping):
+    """A read-only term map held as integer numerators over one denominator.
+
+    ``nums`` maps each key to a nonzero int and ``den`` is positive, with
+    gcd(den, *nums) == 1, so the form is canonical.  ``len``, iteration,
+    ``in`` and ``keys()`` answer from ``nums``; the first read of a value
+    builds the ``Fraction`` map once and keeps it (two racing readers
+    build equal maps, and either is kept).  Two ``IntTerms`` compare by
+    (den, nums); any other mapping compares by value.
+    """
+
+    __slots__ = ("nums", "den", "_fractions")
+
+    def __init__(self, nums: dict, den: int):
+        """Trusted: nums nonzero, den > 0 and the pair already reduced."""
+        self.nums = nums
+        self.den = den
+        self._fractions = None
+
+    @classmethod
+    def reduced(cls, nums: dict, den: int) -> "IntTerms":
+        """nums / den in lowest terms; nums nonzero and den > 0."""
+        cut = gcd(den, *nums.values())
+        if cut != 1:
+            nums = {k: v // cut for k, v in nums.items()}
+            den //= cut
+        return cls(nums, den)
+
+    def _values(self) -> dict:
+        values = self._fractions
+        if values is None:
+            den = self.den
+            values = self._fractions = {k: Fraction(v, den) for k, v in self.nums.items()}
+        return values
+
+    def __getitem__(self, key):
+        return self._values()[key]
+
+    def get(self, key, default=None):
+        return self._values().get(key, default)
+
+    def items(self):
+        return self._values().items()
+
+    def values(self):
+        return self._values().values()
+
+    def keys(self):
+        return self.nums.keys()
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __contains__(self, key):
+        return key in self.nums
+
+    def __eq__(self, other):
+        if type(other) is IntTerms:
+            return self.den == other.den and self.nums == other.nums
+        if isinstance(other, dict):
+            return self._values() == other
+        if isinstance(other, Mapping):
+            return self._values() == dict(other.items())
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"IntTerms({self.nums!r}, den={self.den})"
+
+
+def _ints(terms) -> tuple[dict, int]:
+    """(numerators, den) of a term map: an ``IntTerms``' own fields, or a
+    map of Fractions brought over the lcm of its denominators."""
+    if type(terms) is IntTerms:
+        return terms.nums, terms.den
+    den = lcm(*[c.denominator for c in terms.values()])
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
 def _units(limit: int) -> tuple[int, list]:
     """The field width for keys of weight <= limit, and the code of each
     single part 1..limit (index 0 is unused)."""
@@ -41,15 +128,15 @@ def _units(limit: int) -> tuple[int, list]:
     return shift, [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
 
 
-def _slices(terms: dict, limit: int, unit: list) -> tuple[dict, int]:
+def _slices(terms, limit: int, unit: list) -> tuple[dict, int]:
     """{weight: [(code, numerator), ...]} for every key of weight <= limit,
     and the common denominator of the numerators."""
-    kept = [(k, c) for k, c in terms.items() if sum(k) <= limit]
-    den = lcm(*[c.denominator for _, c in kept])
+    nums, den = _ints(terms)
     slices: dict = {}
-    for k, c in kept:
-        code = sum(map(unit.__getitem__, k))
-        slices.setdefault(sum(k), []).append((code, c.numerator * (den // c.denominator)))
+    for k, v in nums.items():
+        w = sum(k)
+        if w <= limit:
+            slices.setdefault(w, []).append((sum(map(unit.__getitem__, k)), v))
     return slices, den
 
 
@@ -85,19 +172,19 @@ def _decode(code: int, shift: int) -> Partition:
     return Partition(parts)
 
 
-def _decode_into(out: dict, rows, den: int, shift: int) -> None:
-    """out[key] = Fraction(numerator, den) for every nonzero coded row,
-    each key taken from, or decoded once into, the table of its width."""
+def _decode_into(out: dict, rows, shift: int, scale: int = 1) -> None:
+    """out[key] = numerator * scale for every nonzero coded row, each key
+    taken from, or decoded once into, the table of its width."""
     table = _decoded(shift)
     for code, v in rows:
         if v:
             key = table.get(code)
             if key is None:
                 key = table[code] = _decode(code, shift)
-            out[key] = Fraction(v, den)
+            out[key] = v * scale
 
 
-def mul_terms(a: dict, b: dict, limit: int) -> dict:
+def mul_terms(a, b, limit: int) -> IntTerms:
     """Sparse product of two multiplicative-basis term maps, truncated so
     that no result key has weight above ``limit``.
 
@@ -113,11 +200,11 @@ def mul_terms(a: dict, b: dict, limit: int) -> dict:
             if wa + wb <= limit:
                 _pair_sums(acc, rows_a, rows_b)
     out: dict = {}
-    _decode_into(out, acc.items(), da * db, shift)
-    return out
+    _decode_into(out, acc.items(), shift)
+    return IntTerms.reduced(out, da * db)
 
 
-def exp_terms(terms: dict, limit: int) -> dict:
+def exp_terms(terms, limit: int) -> IntTerms:
     """exp of a constant-free multiplicative-basis term map, truncated at
     weight ``limit``.
 
@@ -127,8 +214,10 @@ def exp_terms(terms: dict, limit: int) -> dict:
         k g_k = sum_{j=1..k} j f_j g_{k-j}.
 
     Every g_k stays coded, as integer numerators over one denominator of its
-    own, reduced by the gcd of the slice; the keys are read from the
-    width's table and the Fractions built once, after the last weight.
+    own, reduced by the gcd of the slice.  The result is every slice over
+    the lcm of their denominators, and it is reduced already: a prime that
+    divided that lcm and every numerator would divide the slice of highest
+    order in that prime, numerators and denominator alike.
     """
     shift, unit = _units(limit)
     slices, den_f = _slices(terms, limit, unit)
@@ -149,38 +238,38 @@ def exp_terms(terms: dict, limit: int) -> dict:
         cut = gcd(den, *acc.values())
         g.append([(code, v // cut) for code, v in acc.items() if v])
         dens.append(den // cut)
+    den = lcm(*dens)
     out: dict = {}
-    for rows, den in zip(g, dens):
-        _decode_into(out, rows, den, shift)
-    return out
+    for rows, d in zip(g, dens):
+        _decode_into(out, rows, shift, den // d)
+    return IntTerms(out, den)
 
 
-def kron_terms(a: dict, b: dict) -> dict:
+def kron_terms(a, b) -> IntTerms:
     """Diagonal (Kronecker) product: shared keys only, a[k] * b[k] * z(k)."""
     if len(b) < len(a):
         a, b = b, a
+    (na, da), (nb, db) = _ints(a), _ints(b)
     out = {}
-    for k, ca in a.items():
-        cb = b.get(k)
-        if cb is not None:
-            out[k] = Fraction(ca.numerator * cb.numerator * z(k),
-                              ca.denominator * cb.denominator)
-    return out
+    for k, va in na.items():
+        vb = nb.get(k)
+        if vb is not None:
+            out[k] = va * vb * z(k)
+    return IntTerms.reduced(out, da * db)
 
 
-def scalar_terms(a: dict, b: dict) -> Fraction:
+def scalar_terms(a, b) -> Fraction:
     """Sum over shared keys of a[k] * b[k] * z(k), as a Fraction.
 
-    Each input is brought over the common denominator of its shared terms,
-    so the sum runs on Python ints and only the result is normalised.
+    Both inputs are read over one denominator each, so the sum runs on
+    Python ints and only the result is normalised.
     """
     if len(b) < len(a):
         a, b = b, a
-    shared = [(k, ca, b[k]) for k, ca in a.items() if k in b]
-    da = lcm(*[ca.denominator for _, ca, _ in shared])
-    db = lcm(*[cb.denominator for _, _, cb in shared])
+    (na, da), (nb, db) = _ints(a), _ints(b)
     total = 0
-    for k, ca, cb in shared:
-        total += (ca.numerator * (da // ca.denominator)
-                  * cb.numerator * (db // cb.denominator) * z(k))
+    for k, va in na.items():
+        vb = nb.get(k)
+        if vb is not None:
+            total += va * vb * z(k)
     return Fraction(total, da * db)

@@ -34,9 +34,12 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
 The character memo of the oracle is a plain dict; every other table is a
 ``functools.cache`` function.  Both are append-only, so concurrent readers
 are safe (a duplicated computation stores the same value twice);
-``clear_caches`` empties them all.  A single-term conversion returns its
-memo row itself as the result's ``terms`` (scaled copies otherwise), so
-a row may be shared by any number of values and must never be mutated.
+``clear_caches`` empties them all.  Every change-of-basis row is held in
+the kernels' read-only integer form ``IntTerms``.  A conversion reads its
+input and rows over one denominator each and returns the integer form of
+its sum, except that a single term b_lam returns its memo row itself as
+the result's ``terms``, so a row may be shared by any number of values
+and must never be mutated.
 """
 
 from __future__ import annotations
@@ -193,70 +196,81 @@ def _horner(terms: dict[tuple, int]) -> dict[int, int]:
 
 # ------------------------------------------------- change-of-basis tables
 
-def _omega(terms: dict) -> dict:
+def _omega(terms) -> kernels.IntTerms:
     """The involution omega over p: p_mu -> (-1)^(|mu| - len(mu)) p_mu."""
-    return {mu: -c if (sum(mu) - len(mu)) % 2 else c for mu, c in terms.items()}
+    nums, den = kernels._ints(terms)
+    return kernels.IntTerms({mu: -v if (sum(mu) - len(mu)) % 2 else v
+                             for mu, v in nums.items()}, den)
+
+
+_EMPTY_ROW = kernels.IntTerms({Partition(): 1}, 1)
 
 
 @functools.cache
-def _hlam_in_p(lam: tuple) -> dict:
+def _hlam_in_p(lam: tuple) -> kernels.IntTerms:
     """h_lam over p: the closed form for one part, else h_(lam_1) times the
-    tail's table."""
+    tail's table.  h_n = sum over mu of p_mu / z(mu) is held over n!, whose
+    numerators n! / z(mu) are the class sizes."""
     if len(lam) > 1:
         return kernels.mul_terms(_hlam_in_p(lam[:1]), _hlam_in_p(lam[1:]), sum(lam))
     if not lam:
-        return {Partition(): _ONE}
-    return {mu: Fraction(1, z(mu)) for mu in partitions_of(lam[0])}
+        return _EMPTY_ROW
+    order = factorial(lam[0])
+    return kernels.IntTerms({mu: order // z(mu) for mu in partitions_of(lam[0])}, order)
 
 
 @functools.cache
-def _plam_in_h(mu: tuple) -> dict:
+def _plam_in_h(mu: tuple) -> kernels.IntTerms:
     """p_mu over h: the closed form for one part (integer coefficients, m_i
     the multiplicities), else p_(mu_1) times the tail's table."""
     if len(mu) > 1:
         return kernels.mul_terms(_plam_in_h(mu[:1]), _plam_in_h(mu[1:]), sum(mu))
     if not mu:
-        return {Partition(): _ONE}
+        return _EMPTY_ROW
     n = mu[0]
-    return {lam: Fraction((-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1),
-                          prod(map(factorial, lam.multiplicities().values())))
-            for lam in partitions_of(n)}
+    return kernels.IntTerms({lam: (-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1)
+                             // prod(map(factorial, lam.multiplicities().values()))
+                             for lam in partitions_of(n)}, 1)
 
 
 @functools.cache
-def _s_in_p(lam: tuple) -> dict:
-    """[p_mu] s_lam = chi^lam(mu) / z(mu), read across the weight's columns."""
+def _s_in_p(lam: tuple) -> kernels.IntTerms:
+    """[p_mu] s_lam = chi^lam(mu) / z(mu), read across the weight's columns
+    and held over n!, as chi^lam(mu) times the class size n! / z(mu)."""
     n = sum(lam)
     mask = _beta_mask(lam, n)
+    order = factorial(n)
     out = {}
     for mu, _ in _weight_index(n):
         chi = _column(mu).get(mask)
         if chi:
-            out[mu] = Fraction(chi, z(mu))
-    return out
+            out[mu] = chi * (order // z(mu))
+    return kernels.IntTerms.reduced(out, order)
 
 
 @functools.cache
-def _m_in_p(lam: tuple) -> dict:
+def _m_in_p(lam: tuple) -> kernels.IntTerms:
     """[p_mu] m_lam = [h_lam] p_mu / z(mu), read across the p -> h rows."""
     out = {}
     for mu in partitions_of(sum(lam)):
-        c = _plam_in_h(mu).get(lam)
-        if c:
-            out[mu] = c / z(mu)
-    return out
+        row = _plam_in_h(mu)
+        v = row.nums.get(lam)
+        if v:
+            out[mu] = Fraction(v, row.den * z(mu))
+    return kernels.IntTerms(*kernels._ints(out))
 
 
 @functools.cache
-def _p_in_m(mu: tuple) -> dict:
+def _p_in_m(mu: tuple) -> kernels.IntTerms:
     """[m_lam] p_mu = z(mu) [p_mu] h_lam, read across the h -> p rows."""
     zmu = z(mu)
     out = {}
     for lam in partitions_of(sum(mu)):
-        c = _hlam_in_p(lam).get(mu)
-        if c:
-            out[lam] = c * zmu
-    return out
+        row = _hlam_in_p(lam)
+        v = row.nums.get(mu)
+        if v:
+            out[lam] = Fraction(v * zmu, row.den)
+    return kernels.IntTerms(*kernels._ints(out))
 
 
 def clear_caches() -> None:
@@ -276,33 +290,32 @@ def clear_caches() -> None:
 
 # -------------------------------------------------------------- conversions
 
-def _change_basis(terms: dict, table) -> dict:
+def _change_basis(terms, table):
     """sum over lam of terms[lam] * table(lam): one sparse linear
     combination of rows, as a change of basis (``to_p``, ``from_p``) or a
     substitution (``products.plethysm``).
 
-    A single term c * b_lam is its row, scaled: the row ``table(lam)``
-    itself when c == 1, so the result may be a shared memo row and must
-    never be mutated.  Otherwise the input is brought over the lcm of its
-    denominators and the rows over the lcm of theirs, so the sum runs on
-    Python ints and each output key becomes one Fraction.
+    A single term b_lam is its row ``table(lam)`` itself, so the result may
+    be a shared memo row and must never be mutated.  Otherwise the input
+    and the rows are read over one denominator each, the sum runs on Python
+    ints, and the result is their integer form over the product of the
+    input's denominator and the lcm of the rows'.
     """
-    if len(terms) == 1:
-        [(lam, c)] = terms.items()
-        row = table(lam)
-        return row if c == 1 else {mu: c * d for mu, d in row.items()}
-    rows = [(c, table(lam)) for lam, c in terms.items()]
-    den_in = lcm(*[c.denominator for c in terms.values()])
-    den_rows = lcm(*{d.denominator for _, row in rows for d in row.values()})
+    nums, den_in = kernels._ints(terms)
+    if len(nums) == 1 and den_in == 1:
+        [(lam, v)] = nums.items()
+        if v == 1:
+            return table(lam)
+    rows = [(v, kernels._ints(table(lam))) for lam, v in nums.items()]
+    den_rows = lcm(*[den for _, (_, den) in rows])
     acc: dict[Partition, int] = {}
     get = acc.get
-    for c, row in rows:
-        scale = c.numerator * (den_in // c.denominator)
-        for mu, d in row.items():
-            num, dd = d.as_integer_ratio()
-            acc[mu] = get(mu, 0) + scale * num * (den_rows // dd)
-    den = den_in * den_rows
-    return {mu: Fraction(v, den) for mu, v in acc.items() if v}
+    for v, (row, den) in rows:
+        scale = v * (den_rows // den)
+        for mu, r in row.items():
+            acc[mu] = get(mu, 0) + scale * r
+    return kernels.IntTerms.reduced({mu: v for mu, v in acc.items() if v},
+                                    den_in * den_rows)
 
 
 # e_lam = omega(h_lam) and omega is linear: e runs through the h tables,
@@ -339,16 +352,15 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
         return f
     if target == "s":
         # Over one common denominator the Horner sum runs on Python ints.
-        denom = lcm(*(c.denominator for c in f.terms.values()))
-        vec = _horner({mu: c.numerator * (denom // c.denominator)
-                       for mu, c in f.terms.items()})
+        nums, den = kernels._ints(f.terms)
+        vec = _horner(nums)
         out = {}
         for n in f.weights():
             for lam, mask in _weight_index(n):
                 v = vec.get(mask)
                 if v:
-                    out[lam] = Fraction(v, denom)
-        return SymFunc._of("s", out, f.degree)
+                    out[lam] = v
+        return SymFunc._of("s", kernels.IntTerms.reduced(out, den), f.degree)
     terms = _omega(f.terms) if target == "e" else f.terms
     return SymFunc._of(target, _change_basis(terms, _FROM_P[target]), f.degree)
 

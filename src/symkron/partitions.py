@@ -62,11 +62,17 @@ class Partition(tuple):
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, ascending in the order documented on Partition.
 
-    partitions_of(0) == [Partition(())].
+    partitions_of(0) == [Partition(())].  Each call returns a new list of
+    the same memoized ``Partition`` objects, so a caller may mutate its list.
     """
     if type(n) is not int or n < 0:  # bool is an int subclass
         raise ValueError(f"n must be a non-negative integer: {n!r}")
-    return [Partition(t) for t in _partition_tuples(n, n)]
+    return list(_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(map(Partition, _partition_tuples(n, n)))
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,14 @@ degree N.  It stands for its series modulo terms of total degree > N, where
 the variable indexed by k carries degree k; every operation propagates the
 minimum N of its inputs.  Coefficients are ``fractions.Fraction`` values,
 so everything is exact and canonical (lowest terms, positive denominator).
+``terms`` is a dict, or the read-only integer form ``_kernels.IntTerms``
+that the kernels return: integer numerators over one reduced denominator,
+whose ``Fraction`` values are built when first read.  Kernels and
+comparisons read that form directly, so a chain of them builds no
+``Fraction``.
 
 Values are immutable by convention: operations return new objects, and the
-``terms`` dict of an existing value must never be mutated.  A result's
+``terms`` map of an existing value must never be mutated.  A result's
 ``terms`` may be shared: a single-term conversion in ``bases`` returns a
 memoized change-of-basis row itself, which every later conversion of the
 same term returns again.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 from symkron import _kernels as kernels
@@ -73,7 +79,7 @@ class SymFunc:
             raise BasisError(f"unknown basis {basis!r}; expected one of {BASES}")
         if type(degree) is not int or degree < 0:  # bool is an int subclass
             raise ValueError(f"truncation degree must be a non-negative integer: {degree!r}")
-        items = terms.items() if isinstance(terms, dict) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Partition, Fraction] = {}
         for lam, c in items:
             if not isinstance(lam, Partition):
@@ -89,12 +95,12 @@ class SymFunc:
         self.degree = degree
 
     @classmethod
-    def _of(cls, basis: str, terms: dict, degree: int) -> "SymFunc":
+    def _of(cls, basis: str, terms: Mapping, degree: int) -> "SymFunc":
         """Trusted constructor: assigns the fields without checking them.
 
         Only for terms that already meet the invariant (``Partition`` keys,
         nonzero ``Fraction`` values, weights at most ``degree``), such as
-        the results of operations on valid values.
+        the results of operations on valid values and of the kernels.
         """
         f = object.__new__(cls)
         f.basis = basis
@@ -120,8 +126,9 @@ class SymFunc:
     # ------------------------------------------------------------- queries
 
     def coefficient(self, lam) -> Fraction:
-        """Coefficient of the given partition (0 if absent)."""
-        return self.terms.get(tuple(lam), _ZERO)
+        """Coefficient of the given partition (0 if absent); lam that is not
+        a ``Partition`` is validated as one first (ValueError otherwise)."""
+        return self.terms.get(lam if type(lam) is Partition else Partition(lam), _ZERO)
 
     @property
     def constant_term(self) -> Fraction:
@@ -295,8 +302,9 @@ def exp_series(f: SymFunc) -> SymFunc:
     Built weight by weight with the Euler (degree-operator) recurrence
     k g_k = sum_{j=1..k} j f_j g_{k-j} from g_0 = 1, where f_j and g_j are
     the weight-j slices of f and of g = exp(f).  The kernel ``exp_terms``
-    runs it on integer-coded keys and numerators and builds each result
-    key and coefficient once.
+    runs it on integer-coded keys and numerators, decodes each result key
+    once and returns the integer form: no coefficient becomes a
+    ``Fraction`` until it is read.
     """
     if f.basis != "p":
         raise BasisError("exp_series expects the p basis")

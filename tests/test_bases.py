@@ -453,7 +453,8 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
             "symkron.bases._s_in_p", "symkron.bases._m_in_p",
             "symkron.bases._p_in_m",
             "symkron.named._expand_cached",
-            "symkron.partitions._partition_tuples", "symkron.partitions._z",
+            "symkron.partitions._partition_tuples", "symkron.partitions._partitions",
+            "symkron.partitions._z",
             "symkron._kernels._decoded"} <= memos.keys()
     assert all(memo.cache_info().currsize for memo in memos.values())
     assert symkron.bases._char_cache

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -155,3 +156,127 @@ def test_plain_tuple_inputs_stay_out_of_the_table():
     table = kernels._decoded((5).bit_length())
     assert all(type(k) is Partition for k in table.values())
     assert not any(k is key for k in table.values() for key in (*a, *b))
+
+
+# ------------------------------------------------------- the integer form
+#
+# The kernels return IntTerms: integer numerators over one reduced
+# denominator, whose Fraction values are built when first read.  The
+# oracles above stay on Fraction maps.
+
+IntTerms = kernels.IntTerms
+
+
+def assert_reduced(t: IntTerms) -> None:
+    assert type(t) is IntTerms
+    assert t.den > 0
+    assert all(type(v) is int and v for v in t.nums.values())
+    assert gcd(t.den, *t.nums.values()) == 1
+
+
+def int_form(terms: dict) -> IntTerms:
+    """The integer form of a Fraction map, through the kernels' reader."""
+    return IntTerms(*kernels._ints(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERM_MAPS)
+@example({})
+@example({(1,): F(2, 3), (2,): F(-1, 6), (): F(5, 4)})
+def test_int_form_equals_fraction_form_key_by_key(a):
+    t = int_form(a)
+    assert_reduced(t)
+    assert t._fractions is None
+    assert set(t) == set(a) and len(t) == len(a)
+    for k, c in a.items():
+        assert t[k] == c and type(t[k]) is Fraction
+        assert t.get(k) == c
+    assert t.get((99,)) is None and t.get((99,), F(0)) == 0
+    assert t == a and a == t
+    assert not t != a and not a != t
+    assert dict(t.items()) == a and sorted(t.values()) == sorted(a.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from([lam for n in range(8) for lam in partitions_of(n)]),
+                       st.integers(-10**6, 10**6).filter(bool), max_size=12),
+       st.integers(1, 10**6), st.integers(1, 720))
+@example({}, 12, 1)
+@example({(1,): 4, (2,): -6}, 8, 3)
+def test_reduced_form_is_canonical(nums, den, scale):
+    t = IntTerms.reduced(nums, den)
+    assert_reduced(t)
+    fractions = {k: F(v, den) for k, v in nums.items()}
+    assert t == fractions and fractions == t
+    # the same map over a larger denominator reduces to the same fields
+    u = IntTerms.reduced({k: v * scale for k, v in nums.items()}, den * scale)
+    assert (u.den, u.nums) == (t.den, t.nums)
+    assert u == t and t == u
+    if nums:
+        k = next(iter(nums))
+        other = dict(fractions)
+        other[k] += 1
+        assert t != other and other != t
+        assert t != int_form(other) and int_form(other) != t
+        # the same numerators over another denominator are another map
+        assert t != IntTerms(t.nums, 2 * t.den) and IntTerms(t.nums, 2 * t.den) != t
+
+
+def test_int_form_equality_with_other_values():
+    t = IntTerms.reduced({Partition((1,)): 1}, 2)
+    assert t != [(Partition((1,)), F(1, 2))]
+    assert t != F(1, 2) and t != None  # noqa: E711
+    assert t == {(1,): F(1, 2)} and t != {(1,): F(1, 3)} and t != {}
+    assert IntTerms.reduced({}, 5) == {} == IntTerms({}, 1)
+
+
+def test_int_form_is_read_only():
+    t = kernels.mul_terms({(1,): F(1, 2)}, {(1,): F(1, 3), (): F(1)}, 4)
+    with pytest.raises(TypeError):
+        t[Partition((1,))] = F(1)
+    with pytest.raises(TypeError):
+        del t[Partition((1,))]
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(TypeError):
+        hash(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERM_MAPS, TERM_MAPS, st.integers(0, 10))
+def test_key_reads_build_no_fractions(a, b, limit):
+    results = [kernels.mul_terms(a, b, limit), kernels.kron_terms(a, b),
+               kernels.exp_terms({k: c for k, c in a.items() if k}, limit)]
+    for t in results:
+        assert_reduced(t)
+        assert t.keys() == t.nums.keys()
+        len(t), list(t), [k in t for k in a], (9,) in t
+        t.keys() & b.keys(), t.keys() | b.keys()
+        kernels.mul_terms(t, t, limit), kernels.kron_terms(t, b)
+        kernels.scalar_terms(t, a), t == IntTerms(t.nums, t.den)
+        assert t._fractions is None
+    for t in results:
+        if t:
+            t[next(iter(t))]
+            assert t._fractions is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERM_MAPS, TERM_MAPS, st.integers(0, 10))
+@example({(1,): F(1, 2), (): F(1)}, {(1,): F(-2, 3)}, 3)
+def test_kernels_on_mixed_inputs_match_definition(a, b, limit):
+    ia, ib = int_form(a), int_form(b)
+    product = mul_by_definition(a, b, limit)
+    for x, y in ((ia, b), (a, ib), (ia, ib)):
+        got = kernels.mul_terms(x, y, limit)
+        assert_reduced(got)
+        assert got == product and product == got
+    diagonal = {k: a[k] * b[k] * z(k) for k in a.keys() & b.keys()}
+    scalar = sum(diagonal.values(), F(0))
+    for x, y in ((ia, b), (a, ib), (ia, ib)):
+        assert kernels.kron_terms(x, y) == diagonal
+        assert kernels.scalar_terms(x, y) == scalar
+    free = {k: c for k, c in a.items() if k}
+    g = kernels.exp_terms(int_form(free), min(limit, 8))
+    assert_reduced(g)
+    assert g == exp_by_definition(free, min(limit, 8))

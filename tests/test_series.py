@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_symfunc
-from symkron.partitions import partitions_of
+from symkron.partitions import Partition, partitions_of
 from symkron.series import BasisError, SymFunc, exp_series
 
 F = Fraction
@@ -74,6 +74,22 @@ def test_repeated_partitions_rejected():
         with pytest.raises(ValueError, match="appears twice"):
             SymFunc("p", pairs, 2)
     assert SymFunc("p", [((1,), 1), ((2,), 0)], 2).terms == {(1,): F(1)}
+
+
+def test_coefficient_reads_partitions_only():
+    f = exp_series(p((2,), 6, F(1, 2)) + p((1,), 6))
+    assert f.coefficient((2, 1)) == f.coefficient([2, 1]) == f.coefficient(Partition((2, 1)))
+    assert f.coefficient(()) == 1 and f.coefficient((6,)) == 0
+    # a Partition key is a plain lookup, an int-form value included
+    assert f.coefficient(Partition((1, 1))) == f.terms[Partition((1, 1))] == F(1, 2)
+
+
+@pytest.mark.parametrize("lam", [(True,), [1, 2], [0], [2.0], (3, -1), ("1",)])
+def test_coefficient_rejects_what_is_not_a_partition(lam):
+    with pytest.raises(ValueError):
+        exp_series(p((1,), 6)).coefficient(lam)
+    with pytest.raises(ValueError):
+        SymFunc("s", {(1,): 1}, 6).coefficient(lam)
 
 
 def test_equality_includes_basis_and_degree():

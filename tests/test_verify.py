@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
+import symkron
 from symkron import named
+from symkron._kernels import IntTerms
 from symkron.bases import _omega, character, from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of, z
@@ -290,6 +292,21 @@ def test_run_suite_all_pass():
     assert identities[17:] == [f"factors:n={n}" for n in (1, 2, 3, 4)]
 
 
+def test_table_reads_no_coefficient_of_the_expansions():
+    # The table runs on the kernels' integer form: expansion, products,
+    # Kronecker products and comparison all read numerators, so no
+    # expansion's Fraction values are ever built.
+    symkron.clear_caches()
+    assert all(r.passed() for r in run_suite(16, "table"))
+    info = named._expand_cached.cache_info()
+    assert info.currsize == len(named.TAGS)
+    expansions = [named.expand(tag, 16) for tag in named.TAGS]
+    assert named._expand_cached.cache_info().hits == info.hits + len(named.TAGS)
+    for f in expansions:
+        assert type(f.terms) is IntTerms
+        assert f.terms._fractions is None
+
+
 def test_run_suite_targets_partition_the_whole_suite():
     whole = [r.identity for r in run_suite(4)]
     parts = [r.identity for what in ("table", "intro", "support", "factors")
@@ -346,6 +363,23 @@ def test_reports_deterministic_modulo_millis():
         return out
 
     assert strip(run_suite(4)) == strip(run_suite(4))
+
+
+def test_suite_catches_a_series_off_by_a_constant_factor(monkeypatch):
+    # H / 2 has H's numerators over twice H's denominator, so only the
+    # denominators tell the two sides of H (x) E = E apart.
+    real_expand = named.expand
+
+    def halved(tag, degree):
+        f = real_expand(tag, degree)
+        if NamedSeries.from_tag(tag) is NamedSeries.H:
+            return SymFunc._of("p", IntTerms(f.terms.nums, 2 * f.terms.den), degree)
+        return f
+
+    monkeypatch.setattr(named, "expand", halved)
+    for identity, lhs, rhs in (("H⊗E=E", F(1, 2), 1), ("H⊗H=H", F(1, 4), F(1, 2))):
+        report = next(r for r in run_suite(6, "table") if r.identity == identity)
+        assert report.first_discrepancy == Discrepancy(Partition(()), lhs, rhs)
 
 
 def test_suite_catches_injected_corruption(monkeypatch):
