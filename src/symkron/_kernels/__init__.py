@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from symkron.partitions import Partition, z
+from symkron.partitions import Partition, _z, z
 
 
 def backend_name() -> str:
@@ -246,7 +246,11 @@ def exp_terms(terms, limit: int) -> IntTerms:
 
 
 def kron_terms(a, b) -> IntTerms:
-    """Diagonal (Kronecker) product: shared keys only, a[k] * b[k] * z(k)."""
+    """Diagonal (Kronecker) product: shared keys only, a[k] * b[k] * z(k).
+
+    A ``Partition`` key reads the memo of ``z`` directly; any other key
+    goes through the validating ``z``.
+    """
     if len(b) < len(a):
         a, b = b, a
     (na, da), (nb, db) = _ints(a), _ints(b)
@@ -254,7 +258,7 @@ def kron_terms(a, b) -> IntTerms:
     for k, va in na.items():
         vb = nb.get(k)
         if vb is not None:
-            out[k] = va * vb * z(k)
+            out[k] = va * vb * (_z(k) if type(k) is Partition else z(k))
     return IntTerms.reduced(out, da * db)
 
 
@@ -262,7 +266,8 @@ def scalar_terms(a, b) -> Fraction:
     """Sum over shared keys of a[k] * b[k] * z(k), as a Fraction.
 
     Both inputs are read over one denominator each, so the sum runs on
-    Python ints and only the result is normalised.
+    Python ints and only the result is normalised.  ``z`` is read as in
+    ``kron_terms``.
     """
     if len(b) < len(a):
         a, b = b, a
@@ -271,5 +276,5 @@ def scalar_terms(a, b) -> Fraction:
     for k, va in na.items():
         vb = nb.get(k)
         if vb is not None:
-            total += va * vb * z(k)
+            total += va * vb * (_z(k) if type(k) is Partition else z(k))
     return Fraction(total, da * db)

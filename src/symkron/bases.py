@@ -25,7 +25,12 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   off, and p_t multiplies the group's sum once, all over one common
   denominator.  s -> p in ``to_p`` reads integer character *columns*
   p_mu = sum_lam chi^lam(mu) s_lam, memoized per cycle type mu and built
-  from the column of mu's tail; the columns serve s -> p only;
+  from the column of mu's tail; the columns serve s -> p only.
+  ``exp_in_s`` adds the same strips to build exp(f) in s straight from a
+  p-basis exponent f, by the Euler recurrence of ``exp_series`` on Schur
+  vectors, so a series given by a short exponent is never expanded in p.
+  It and ``from_p`` of the p-expansion are two routes to the same
+  result; the support report runs both;
 * ``character`` / ``character_table`` strip border strips from one row
   lam at a time through the (lam, mu) memo ``_char_cache``.  Only the
   oracle uses this route (``kronecker_coefficient(oracle=True)`` and the
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
@@ -133,6 +138,22 @@ def _beta_mask(lam: tuple, n: int) -> int:
 def _weight_index(n: int) -> list[tuple[Partition, int]]:
     """(lam, beta mask) for every lam of weight n, in ascending order."""
     return [(lam, _beta_mask(lam, n)) for lam in partitions_of(n)]
+
+
+def _mask_partition(mask: int) -> Partition:
+    """The partition of a beta mask: its j-th lowest bead (from 0) at slot
+    b is the part b - j."""
+    parts = []
+    j = 0
+    while mask:
+        bead = mask & -mask
+        mask ^= bead
+        part = bead.bit_length() - 1 - j
+        if part:
+            parts.append(part)
+        j += 1
+    parts.reverse()
+    return Partition(parts)
 
 
 def _add_strips(vec: dict[int, int], t: int, acc: dict[int, int]) -> None:
@@ -363,6 +384,58 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
         return SymFunc._of("s", kernels.IntTerms.reduced(out, den), f.degree)
     terms = _omega(f.terms) if target == "e" else f.terms
     return SymFunc._of(target, _change_basis(terms, _FROM_P[target]), f.degree)
+
+
+def exp_in_s(f: SymFunc) -> SymFunc:
+    """exp of a constant-free p-basis series, as an s-basis series truncated
+    at the same degree.
+
+    The Euler recurrence of ``kernels.exp_terms``, with f_j and g_j the
+    weight-j slices of f and of g = exp(f), g_0 = 1 and
+
+        k g_k = sum_{j=1..k} j f_j g_{k-j},
+
+    run in Schur coordinates: each g_k is a vector keyed by beta mask, and
+    a term c p_mu of j f_j acts on g_{k-j} by one ``_add_strips`` per part
+    of mu.  Every g_k is held as integer numerators over one denominator of
+    its own, reduced by the gcd of the slice, so the result over the lcm of
+    the slice denominators is reduced as ``exp_terms``' is.  An exponent
+    with a few terms, as the named series have, never expands exp(f) in p.
+    """
+    if f.basis != "p":
+        raise BasisError("exp_in_s expects a p-basis input")
+    nums, den_f = kernels._ints(f.terms)
+    if nums.get(()):
+        raise ValueError("exp_in_s needs a zero constant term")
+    jf: dict[int, list] = {}
+    for mu, v in nums.items():
+        j = sum(mu)
+        jf.setdefault(j, []).append((mu, j * v))
+    g: list[dict] = [{0: 1}]
+    dens = [1]
+    for k in range(1, f.degree + 1):
+        parts = [(terms, g[k - j], dens[k - j]) for j, terms in jf.items()
+                 if j <= k and g[k - j]]
+        common = lcm(*[d for _, _, d in parts])
+        acc: dict[int, int] = {}
+        for terms, g_rest, d in parts:
+            scale = common // d
+            for mu, v in terms:
+                v *= scale
+                vec = g_rest if v == 1 else {m: v * c for m, c in g_rest.items()}
+                for t in mu[1:]:
+                    grown: dict[int, int] = {}
+                    _add_strips(vec, t, grown)
+                    vec = grown
+                _add_strips(vec, mu[0], acc)
+        den = den_f * common * k
+        cut = gcd(den, *acc.values())
+        g.append({m: v // cut for m, v in acc.items() if v})
+        dens.append(den // cut)
+    den = lcm(*dens)
+    return SymFunc._of("s", kernels.IntTerms(
+        {_mask_partition(mask): v * (den // d) for vec, d in zip(g, dens)
+         for mask, v in vec.items()}, den), f.degree)
 
 
 # ------------------------------------------------------------- Gram-Schmidt

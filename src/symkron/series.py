@@ -8,9 +8,9 @@ minimum N of its inputs.  Coefficients are ``fractions.Fraction`` values,
 so everything is exact and canonical (lowest terms, positive denominator).
 ``terms`` is a dict, or the read-only integer form ``_kernels.IntTerms``
 that the kernels return: integer numerators over one reduced denominator,
-whose ``Fraction`` values are built when first read.  Kernels and
-comparisons read that form directly, so a chain of them builds no
-``Fraction``.
+whose ``Fraction`` values are built when first read.  Kernels,
+comparisons, ``truncate`` and ``graded_component`` read that form
+directly, so a chain of them builds no ``Fraction``.
 
 Values are immutable by convention: operations return new objects, and the
 ``terms`` map of an existing value must never be mutated.  A result's
@@ -62,6 +62,16 @@ def _exact(c) -> Fraction:
         return Fraction(c)
     kind = "floats" if isinstance(c, float) else type(c).__name__
     raise TypeError(f"coefficients must be exact rationals (int or Fraction), not {kind}")
+
+
+def _select(terms, keep) -> Mapping:
+    """The terms whose weight w has keep(w).  An ``IntTerms`` stays on its
+    numerators and gives the reduced form of those it keeps, building no
+    ``Fraction``."""
+    if type(terms) is kernels.IntTerms:
+        return kernels.IntTerms.reduced(
+            {k: v for k, v in terms.nums.items() if keep(k.weight)}, terms.den)
+    return {k: c for k, c in terms.items() if keep(k.weight)}
 
 
 def term_order(lam) -> tuple:
@@ -234,14 +244,13 @@ class SymFunc:
             raise ValueError(f"cannot raise truncation degree from {self.degree} to {d}")
         if d == self.degree:
             return self
-        return SymFunc._of(self.basis, {k: c for k, c in self.terms.items() if k.weight <= d}, d)
+        return SymFunc._of(self.basis, _select(self.terms, lambda w: w <= d), d)
 
     def graded_component(self, n: int) -> "SymFunc":
         """The homogeneous slice of weight exactly n (degree tag unchanged)."""
         if type(n) is not int or not 0 <= n <= self.degree:  # bool is an int subclass
             raise ValueError(f"weight must be a non-negative integer <= {self.degree}: {n!r}")
-        return SymFunc._of(self.basis, {k: c for k, c in self.terms.items() if k.weight == n},
-                           self.degree)
+        return SymFunc._of(self.basis, _select(self.terms, lambda w: w == n), self.degree)
 
     # ------------------------------------------------------------- JSON IO
 

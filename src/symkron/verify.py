@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from symkron import named
-from symkron.bases import _omega, from_p
+from symkron.bases import _omega, exp_in_s, from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of
 from symkron.products import kron_factor, kronecker
@@ -185,26 +185,47 @@ def _parity_support(degree: int) -> SymFunc:
     return SymFunc("s", terms, degree)
 
 
+#: The degree up to which the support report also converts the expansion
+#: of SEinv itself, the route independent of ``exp_in_s``.
+CROSS_CHECK_DEGREE = 12
+
+
 def verify_support_claims(degree: int) -> VerificationReport:
-    """Schur-basis support of SEinv and SHinv, by one p -> s conversion.
+    """Schur-basis support of SEinv and SHinv, by two routes to s.
 
     SEinv must be the 0/1 sum of s_lam over lam with all parts even, and
     SHinv the 0/1 sum over lam whose conjugate has all parts even.  The
-    report first checks SHinv = omega(SEinv) exactly in p (omega sends p_mu
-    to (-1)^(|mu| - len(mu)) p_mu; it is the table entry E (x) SEinv = SHinv
-    read weight by weight, since e_n (x) f = omega(f)), so a failure there
-    reports a p-basis partition.  It then converts SEinv alone to s and
-    compares it with the even-part support.  One conversion is enough:
-    omega(s_lam) = s_lam' (Macdonald, I.3), so once SHinv = omega(SEinv),
-    SHinv's Schur coefficient at lam is SEinv's at lam', and the claimed
-    SHinv support is the conjugate of the even-part support.
+    report runs three steps and stops at the first failure:
+
+    1. SHinv = omega(SEinv), exactly in p (omega sends p_mu to
+       (-1)^(|mu| - len(mu)) p_mu; it is the table entry E (x) SEinv = SHinv
+       read weight by weight, since e_n (x) f = omega(f)), so a failure
+       there reports a p-basis partition.
+    2. The expansion of SEinv, truncated at ``CROSS_CHECK_DEGREE``,
+       converted by ``from_p`` and compared with the even-part support.
+    3. exp of SEinv's exponent, built in s by ``exp_in_s`` to the full
+       degree, compared with the even-part support.
+
+    Steps 2 and 3 are independent routes: the first expands exp in p and
+    converts by a Horner sum, the second never leaves s.  The first grows
+    with the p-terms of SEinv's expansion (93 at degree 12, 3,259 at 28),
+    the second with its exponent's N terms and the Schur vectors they act
+    on, so the cross-check stops at degree 12, where it costs a few ms.
+    SHinv needs no conversion of its own: omega(s_lam) = s_lam'
+    (Macdonald, I.3), so once SHinv = omega(SEinv), SHinv's Schur
+    coefficient at lam is SEinv's at lam', and the claimed SHinv support is
+    the conjugate of the even-part support.
     """
     started = time.perf_counter()
     se = named.expand(_SE, degree)
     disc = first_difference(SymFunc._of("p", _omega(se.terms), degree),
                             named.expand(_SH, degree))
     if disc is None:
-        disc = first_difference(from_p(se, "s"), _parity_support(degree))
+        cross = min(degree, CROSS_CHECK_DEGREE)
+        disc = first_difference(from_p(se.truncate(cross), "s"), _parity_support(cross))
+    if disc is None:
+        disc = first_difference(exp_in_s(named.exponent(_SE, degree)),
+                                _parity_support(degree))
     return _report("support:SEinv,SHinv", degree, started, disc)
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from symkron.partitions import partitions_of
 from symkron.series import SymFunc
 
@@ -17,3 +19,16 @@ def random_symfunc(rng: random.Random, basis: str, degree: int,
             lam = rng.choice(partitions_of(weight))
             terms[lam] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return SymFunc(basis, terms, degree)
+
+
+@st.composite
+def constant_free_p_series(draw):
+    """A p series of degree <= 10 with terms of mixed weights and
+    denominators, and no constant term."""
+    degree = draw(st.integers(0, 10))
+    if not degree:
+        return SymFunc.zero("p", 0)
+    keys = [lam for n in range(1, degree + 1) for lam in partitions_of(n)]
+    terms = draw(st.dictionaries(st.sampled_from(keys),
+                                 st.fractions(-9, 9, max_denominator=12), max_size=6))
+    return SymFunc("p", terms, degree)

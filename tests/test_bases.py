@@ -1,23 +1,25 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import symkron
-from conftest import random_symfunc
+from conftest import constant_free_p_series, random_symfunc
+from symkron import _kernels as kernels
 from symkron.bases import (
     character,
     character_table,
+    exp_in_s,
     from_p,
     schur_by_gram_schmidt,
     to_p,
 )
-from symkron.named import TAGS, expand
+from symkron.named import TAGS, expand, exponent
 from symkron.partitions import Partition, partitions_of, z
 from symkron.products import kronecker, kronecker_coefficient, scalar_product
-from symkron.series import BASES, BasisError, SymFunc
+from symkron.series import BASES, BasisError, SymFunc, exp_series
 
 F = Fraction
 
@@ -539,3 +541,71 @@ def test_e_to_p_matches_products_of_oracle_e_n(terms):
             product = product * SymFunc("p", e_in_p_oracle(part), 8)
         expected = expected + product.scale(c)
     assert to_p(SymFunc("e", terms, 8)) == expected
+
+
+# ------------------------------------------- exp in Schur coordinates
+#
+# exp_in_s runs the Euler recurrence on Schur vectors; from_p of the
+# p-expansion and the character oracle are its independent routes.
+
+def test_exp_in_s_of_every_named_exponent_matches_from_p():
+    for tag in TAGS:
+        for degree in range(13):
+            got = exp_in_s(exponent(tag, degree))
+            want = from_p(expand(tag, degree), "s")
+            assert got.basis == "s" and got.degree == degree
+            assert type(got.terms) is kernels.IntTerms
+            assert (got.terms.den, got.terms.nums) == (want.terms.den, want.terms.nums), \
+                (tag, degree)
+            assert all(type(k) is Partition for k in got.terms.nums)
+
+
+def test_exp_in_s_of_every_named_exponent_matches_the_oracle():
+    for tag in TAGS:
+        for degree in range(9):
+            assert exp_in_s(exponent(tag, degree)) == \
+                s_expansion_by_oracle(expand(tag, degree)), (tag, degree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(constant_free_p_series())
+@example(SymFunc.single("p", (10,), 10, F(3, 7)))
+@example(SymFunc.single("p", (4, 3, 3), 10, F(-5, 2)))
+@example(SymFunc("p", {(1,): F(1, 2), (2,): F(-1, 3), (2, 1): F(1, 6)}, 10))
+def test_exp_in_s_matches_from_p_of_exp_series(f):
+    got = exp_in_s(f)
+    want = from_p(exp_series(f), "s")
+    assert (got.terms.den, got.terms.nums) == (want.terms.den, want.terms.nums)
+    assert gcd(got.terms.den, *got.terms.nums.values()) == 1
+
+
+def test_exp_in_s_boundaries():
+    with pytest.raises(BasisError):
+        exp_in_s(SymFunc.single("h", (1,), 3))
+    with pytest.raises(BasisError):
+        exp_in_s(from_p(exponent("S", 4), "s"))
+    with pytest.raises(ValueError, match="constant term"):
+        exp_in_s(SymFunc("p", {(): F(1, 2), (1,): 1}, 3))
+    with pytest.raises(ValueError, match="constant term"):
+        exp_in_s(SymFunc._of("p", kernels.IntTerms({Partition(()): 1}, 3), 2))
+    for degree in (0, 5):
+        assert exp_in_s(SymFunc.zero("p", degree)) == SymFunc.one("s", degree)
+
+
+def test_exp_in_s_builds_no_fraction(monkeypatch):
+    # One input as a Fraction map, one in the integer form.
+    inputs = [exponent("SEinv", 12), exponent("Modd", 9),
+              SymFunc._of("p", kernels.IntTerms({Partition((2, 1)): -4, Partition((1,)): 3}, 6), 9)]
+    built = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    results = [exp_in_s(f) for f in inputs]
+    monkeypatch.undo()
+    assert built == []
+    assert all(r.terms._fractions is None for r in results)
+    assert results[2] == from_p(exp_series(inputs[2]), "s")

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_symfunc
-from symkron.bases import from_p, to_p
+from symkron.bases import exp_in_s, from_p, to_p
 from symkron.named import TAGS, expand, exponent
 from symkron.partitions import Partition
 from symkron.products import UnivariateFactor, kronecker, plethysm
@@ -44,6 +44,7 @@ def trusted_results(rng: random.Random):
         yield f"from_p {target}", from_p(fp, target)
     yield "kronecker", kronecker(f, random_symfunc(rng, rng.choice(BASES), rng.randint(0, 8)))
     yield "plethysm", plethysm(f, random_symfunc(rng, "p", degree, constant_free=True))
+    yield "exp_in_s", exp_in_s(random_symfunc(rng, "p", degree, constant_free=True))
     yield "expand", expand(rng.choice(TAGS), degree)
 
 

@@ -280,3 +280,34 @@ def test_kernels_on_mixed_inputs_match_definition(a, b, limit):
     g = kernels.exp_terms(int_form(free), min(limit, 8))
     assert_reduced(g)
     assert g == exp_by_definition(free, min(limit, 8))
+
+
+def test_diagonal_kernels_read_z_by_key_type(monkeypatch):
+    # A Partition key reads z's memo itself; a plain tuple still goes
+    # through the validating z, so bad keys are refused.
+    calls = []
+    real_z = kernels.z
+
+    def counted(k):
+        calls.append(k)
+        return real_z(k)
+
+    monkeypatch.setattr(kernels, "z", counted)
+    a = {Partition((2, 1)): F(1, 2), Partition((1, 1, 1)): F(3), Partition((3,)): F(-1, 3)}
+    b = {Partition((2, 1)): F(5), Partition((3,)): F(2, 7)}
+    diagonal = {k: a[k] * b[k] * z(k) for k in a.keys() & b.keys()}
+    scalar = sum(diagonal.values(), F(0))
+    for x, y in ((a, b), (int_form(a), int_form(b))):
+        assert kernels.kron_terms(x, y) == diagonal
+        assert kernels.scalar_terms(x, y) == scalar
+    assert calls == []
+    plain_a = {tuple(k): c for k, c in a.items()}
+    plain_b = {tuple(k): c for k, c in b.items()}
+    assert kernels.kron_terms(plain_a, plain_b) == diagonal
+    assert kernels.scalar_terms(plain_a, plain_b) == scalar
+    assert sorted(calls) == sorted(2 * [(2, 1), (3,)])
+    for bad in ((1, 2), (0,)):
+        with pytest.raises(ValueError):
+            kernels.kron_terms({bad: F(1)}, {bad: F(1)})
+        with pytest.raises(ValueError):
+            kernels.scalar_terms({bad: F(1)}, {bad: F(1)})

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_symfunc
+from conftest import constant_free_p_series, random_symfunc
+from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of
 from symkron.series import BasisError, SymFunc, exp_series
 
@@ -241,19 +242,6 @@ def exp_by_definition(f):
     return result
 
 
-@st.composite
-def constant_free_p_series(draw):
-    """A p series of degree <= 10 with terms of mixed weights and
-    denominators, and no constant term."""
-    degree = draw(st.integers(0, 10))
-    if not degree:
-        return SymFunc.zero("p", 0)
-    keys = [lam for n in range(1, degree + 1) for lam in partitions_of(n)]
-    terms = draw(st.dictionaries(st.sampled_from(keys),
-                                 st.fractions(-9, 9, max_denominator=12), max_size=6))
-    return SymFunc("p", terms, degree)
-
-
 @settings(max_examples=80, deadline=None)
 @given(constant_free_p_series())
 @example(SymFunc.zero("p", 0))
@@ -357,3 +345,26 @@ def test_json_rejects_repeated_partitions():
         {"partition": [1], "coefficient": 1}, {"partition": [1], "coefficient": 2}]})
     with pytest.raises(ValueError, match="appears twice"):
         SymFunc.from_json(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_free_p_series(), st.integers(0, 10), st.fractions(-9, 9, max_denominator=12))
+@example(SymFunc("p", {(1,): F(1, 2), (2,): F(1, 3), (3,): F(1, 6)}, 3), 2, F(0))
+@example(SymFunc("p", {(1,): F(1, 2), (2,): F(1, 4)}, 2), 1, F(0))
+def test_truncate_and_graded_component_stay_on_numerators(f, d, constant):
+    # The same operation on the integer form and on the Fraction map; the
+    # integer result keeps fewer terms, so it must divide out their gcd.
+    if constant:
+        f = SymFunc("p", {**f.terms, (): constant}, f.degree)
+    nums, den = kernels._ints(f.terms)
+    g = SymFunc._of("p", kernels.IntTerms.reduced(nums, den), f.degree)
+    d = min(d, f.degree)
+    for got, want in ((g.truncate(d), f.truncate(d)),
+                      (g.graded_component(d), f.graded_component(d))):
+        terms = got.terms
+        assert type(terms) is kernels.IntTerms and terms._fractions is None
+        assert all(type(k) is Partition for k in terms.nums)
+        assert terms.den > 0 and all(terms.nums.values())
+        assert math.gcd(terms.den, *terms.nums.values()) == 1
+        assert got.degree == want.degree and got.basis == want.basis
+        assert terms == want.terms and got == want

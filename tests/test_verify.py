@@ -18,6 +18,7 @@ from symkron.products import (
     poly_mul,
 )
 from symkron.series import BasisError, SymFunc, exp_series
+from symkron.verify import CROSS_CHECK_DEGREE
 from symkron.verify import (
     Discrepancy,
     expected_product,
@@ -225,6 +226,65 @@ def test_support_claims_fail_at_p_to_s_when_omega_still_holds(monkeypatch):
     assert disc.partition.weight == mu.weight
     # p_mu = sum over lam of chi^lam(mu) s_lam
     assert disc.lhs - disc.rhs == character(disc.partition, mu)
+
+
+def _mutated_exponents(monkeypatch, changes):
+    """Replace named.exponent by one with p-coefficient deltas added to some
+    tags' exponents, and named.expand by exp of those exponents; the
+    memoized expansions are left alone."""
+    real_exponent = named.exponent
+
+    def exponent(tag, degree):
+        f = real_exponent(tag, degree)
+        delta = changes.get(NamedSeries.from_tag(tag))
+        if delta is None:
+            return f
+        terms = dict(f.terms)
+        for mu, c in delta.items():
+            if mu.weight <= degree:
+                terms[mu] = terms.get(mu, 0) + c
+        return SymFunc("p", terms, degree)
+
+    monkeypatch.setattr("symkron.verify.named.exponent", exponent)
+    monkeypatch.setattr("symkron.verify.named.expand",
+                        lambda tag, degree: exp_series(exponent(tag, degree)))
+
+
+def test_support_claims_fail_above_the_cross_check_in_s(monkeypatch):
+    # SEinv's exponent changed at p_14 and SHinv's by omega to match, so
+    # SHinv = omega(SEinv) still holds and the change lies above the
+    # cross-check's degree: only exp_in_s at the full degree can catch it.
+    mu = Partition((14,))
+    change = {mu: F(1, 14)}
+    _mutated_exponents(monkeypatch, {NamedSeries.SEINV: change,
+                                     NamedSeries.SHINV: _omega(change)})
+    calls = _count_from_p(monkeypatch)
+    assert verify_support_claims(13).passed()
+    report = verify_support_claims(16)
+    assert not report.passed()
+    assert calls == ["s", "s"]
+    disc = report.first_discrepancy
+    assert disc.partition.weight == mu.weight > CROSS_CHECK_DEGREE
+    # the weight-14 slice of exp(f + p_14 / 14) - exp(f) is p_14 / 14 =
+    # sum over lam of chi^lam(14) / 14 s_lam
+    assert disc.lhs - disc.rhs == F(character(disc.partition, mu), 14)
+    assert disc.rhs in (0, 1)
+
+
+def test_support_claims_cross_check_converts_once_at_twelve(monkeypatch):
+    seen = []
+
+    def counted(f, target):
+        seen.append((f.degree, target, max(f.weights())))
+        return from_p(f, target)
+
+    monkeypatch.setattr("symkron.verify.from_p", counted)
+    assert CROSS_CHECK_DEGREE == 12
+    assert verify_support_claims(16).passed()
+    assert seen == [(12, "s", 12)]
+    seen.clear()
+    assert verify_support_claims(7).passed()
+    assert seen == [(7, "s", 6)]
 
 
 def test_factor_closed_forms():
