@@ -1,14 +1,14 @@
 """The exact-arithmetic kernels for sparse series in power-sum coordinates.
 
-Term maps are keyed by ``Partition`` (weakly decreasing integer tuples)
-with ``fractions.Fraction`` values, and every key of a result is a
-``Partition``.  A term map is either a dict or an ``IntTerms``: the same
-map held as integer numerators over one denominator, a read-only
-``Mapping`` whose ``Fraction`` values are built when first read.  Each
-kernel exists once, in Python, and computes on Python ints: ``_ints``
-brings every input over one denominator (an ``IntTerms`` already is), and
-``mul_terms``, ``exp_terms`` and ``kron_terms`` return an ``IntTerms``, so
-a chain of kernels builds no ``Fraction`` at all.
+A term map is an ``IntTerms``: a read-only ``Mapping`` from ``Partition``
+keys (weakly decreasing integer tuples) to rationals, held as integer
+numerators over one reduced denominator, whose ``fractions.Fraction``
+values are built when first read.  ``IntTerms.of`` brings a map of
+Fractions into that form once, at the boundary.  Each kernel exists once,
+in Python, reads its inputs' ``nums`` and ``den`` and computes on Python
+ints; ``mul_terms``, ``exp_terms`` and ``kron_terms`` return an
+``IntTerms``, so a chain of kernels builds no ``Fraction`` at all.  The
+kernels trust their inputs' keys to be partitions and validate none.
 
 The two multiplicative kernels share one integer coding of keys.  A key is
 the int sum of 2**((part - 1) * shift) over its parts, with
@@ -21,8 +21,7 @@ decoded at the end.  A code stands for the same partition under every
 limit of its width, so each code is decoded and validated once per process
 and width: ``_decoded(shift)`` keeps the ``Partition`` of every code
 decoded at that width, and every result shares that one key object per
-partition.  Input keys never enter the table; callers may pass plain
-tuples.
+partition.  Input keys never enter the table.
 """
 
 import functools
@@ -30,7 +29,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from symkron.partitions import Partition, _z, z
+from symkron.partitions import Partition, _z
 
 
 def backend_name() -> str:
@@ -66,6 +65,15 @@ class IntTerms(Mapping):
             den //= cut
         return cls(nums, den)
 
+    @classmethod
+    def of(cls, terms: Mapping) -> "IntTerms":
+        """The integer form of a map of nonzero Fractions (or ints), over
+        the lcm of their denominators.  That form is reduced already: a
+        prime dividing the lcm divides some coefficient's denominator as
+        often, and so neither its numerator nor its scale factor."""
+        den = lcm(*[c.denominator for c in terms.values()])
+        return cls({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
+
     def _values(self) -> dict:
         values = self._fractions
         if values is None:
@@ -100,8 +108,6 @@ class IntTerms(Mapping):
     def __eq__(self, other):
         if type(other) is IntTerms:
             return self.den == other.den and self.nums == other.nums
-        if isinstance(other, dict):
-            return self._values() == other
         if isinstance(other, Mapping):
             return self._values() == dict(other.items())
         return NotImplemented
@@ -112,15 +118,6 @@ class IntTerms(Mapping):
         return f"IntTerms({self.nums!r}, den={self.den})"
 
 
-def _ints(terms) -> tuple[dict, int]:
-    """(numerators, den) of a term map: an ``IntTerms``' own fields, or a
-    map of Fractions brought over the lcm of its denominators."""
-    if type(terms) is IntTerms:
-        return terms.nums, terms.den
-    den = lcm(*[c.denominator for c in terms.values()])
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-
-
 def _units(limit: int) -> tuple[int, list]:
     """The field width for keys of weight <= limit, and the code of each
     single part 1..limit (index 0 is unused)."""
@@ -128,16 +125,14 @@ def _units(limit: int) -> tuple[int, list]:
     return shift, [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
 
 
-def _slices(terms, limit: int, unit: list) -> tuple[dict, int]:
-    """{weight: [(code, numerator), ...]} for every key of weight <= limit,
-    and the common denominator of the numerators."""
-    nums, den = _ints(terms)
+def _slices(terms: IntTerms, limit: int, unit: list) -> dict:
+    """{weight: [(code, numerator), ...]} for every key of weight <= limit."""
     slices: dict = {}
-    for k, v in nums.items():
+    for k, v in terms.nums.items():
         w = sum(k)
         if w <= limit:
             slices.setdefault(w, []).append((sum(map(unit.__getitem__, k)), v))
-    return slices, den
+    return slices
 
 
 def _pair_sums(acc: dict, rows_a: list, rows_b: list) -> None:
@@ -184,7 +179,7 @@ def _decode_into(out: dict, rows, shift: int, scale: int = 1) -> None:
             out[key] = v * scale
 
 
-def mul_terms(a, b, limit: int) -> IntTerms:
+def mul_terms(a: IntTerms, b: IntTerms, limit: int) -> IntTerms:
     """Sparse product of two multiplicative-basis term maps, truncated so
     that no result key has weight above ``limit``.
 
@@ -192,8 +187,8 @@ def mul_terms(a, b, limit: int) -> IntTerms:
     slices whose weights add up to at most the limit runs the pair loop.
     """
     shift, unit = _units(limit)
-    slices_a, da = _slices(a, limit, unit)
-    slices_b, db = _slices(b, limit, unit)
+    slices_a = _slices(a, limit, unit)
+    slices_b = _slices(b, limit, unit)
     acc: dict = {}
     for wa, rows_a in slices_a.items():
         for wb, rows_b in slices_b.items():
@@ -201,10 +196,10 @@ def mul_terms(a, b, limit: int) -> IntTerms:
                 _pair_sums(acc, rows_a, rows_b)
     out: dict = {}
     _decode_into(out, acc.items(), shift)
-    return IntTerms.reduced(out, da * db)
+    return IntTerms.reduced(out, a.den * b.den)
 
 
-def exp_terms(terms, limit: int) -> IntTerms:
+def exp_terms(terms: IntTerms, limit: int) -> IntTerms:
     """exp of a constant-free multiplicative-basis term map, truncated at
     weight ``limit``.
 
@@ -220,7 +215,7 @@ def exp_terms(terms, limit: int) -> IntTerms:
     order in that prime, numerators and denominator alike.
     """
     shift, unit = _units(limit)
-    slices, den_f = _slices(terms, limit, unit)
+    slices = _slices(terms, limit, unit)
     jf = {j: [(code, j * v) for code, v in rows] for j, rows in sorted(slices.items()) if j}
     g: list[list] = [[(0, 1)]]
     dens = [1]
@@ -234,7 +229,7 @@ def exp_terms(terms, limit: int) -> IntTerms:
             if scale != 1:
                 rows = [(code, v * scale) for code, v in rows]
             _pair_sums(acc, rows, g_rest)
-        den = den_f * common * k
+        den = terms.den * common * k
         cut = gcd(den, *acc.values())
         g.append([(code, v // cut) for code, v in acc.items() if v])
         dens.append(den // cut)
@@ -245,36 +240,31 @@ def exp_terms(terms, limit: int) -> IntTerms:
     return IntTerms(out, den)
 
 
-def kron_terms(a, b) -> IntTerms:
-    """Diagonal (Kronecker) product: shared keys only, a[k] * b[k] * z(k).
-
-    A ``Partition`` key reads the memo of ``z`` directly; any other key
-    goes through the validating ``z``.
-    """
+def kron_terms(a: IntTerms, b: IntTerms) -> IntTerms:
+    """Diagonal (Kronecker) product: shared keys only, a[k] * b[k] * z(k),
+    with z read from its memo."""
     if len(b) < len(a):
         a, b = b, a
-    (na, da), (nb, db) = _ints(a), _ints(b)
+    nb = b.nums
     out = {}
-    for k, va in na.items():
+    for k, va in a.nums.items():
         vb = nb.get(k)
         if vb is not None:
-            out[k] = va * vb * (_z(k) if type(k) is Partition else z(k))
-    return IntTerms.reduced(out, da * db)
+            out[k] = va * vb * _z(k)
+    return IntTerms.reduced(out, a.den * b.den)
 
 
-def scalar_terms(a, b) -> Fraction:
+def scalar_terms(a: IntTerms, b: IntTerms) -> Fraction:
     """Sum over shared keys of a[k] * b[k] * z(k), as a Fraction.
 
-    Both inputs are read over one denominator each, so the sum runs on
-    Python ints and only the result is normalised.  ``z`` is read as in
-    ``kron_terms``.
+    The sum runs on the numerators, and only the result is normalised.
     """
     if len(b) < len(a):
         a, b = b, a
-    (na, da), (nb, db) = _ints(a), _ints(b)
+    nb = b.nums
     total = 0
-    for k, va in na.items():
+    for k, va in a.nums.items():
         vb = nb.get(k)
         if vb is not None:
-            total += va * vb * (_z(k) if type(k) is Partition else z(k))
-    return Fraction(total, da * db)
+            total += va * vb * _z(k)
+    return Fraction(total, a.den * b.den)

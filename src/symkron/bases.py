@@ -22,8 +22,10 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   (``_add_strips``: p_t times a Schur vector) for both directions.  p -> s
   in ``from_p`` is a Horner sum over the partition trie: the terms are
   grouped by their smallest part t, each group is converted with t peeled
-  off, and p_t multiplies the group's sum once, all over one common
-  denominator.  s -> p in ``to_p`` reads integer character *columns*
+  off, and p_t multiplies the group's sum once, all on the input's
+  numerators; each mask of the sum is decoded back to its partition
+  (``_mask_partition``), so a sparse result costs only its own terms.
+  s -> p in ``to_p`` reads integer character *columns*
   p_mu = sum_lam chi^lam(mu) s_lam, memoized per cycle type mu and built
   from the column of mu's tail; the columns serve s -> p only.
   ``exp_in_s`` adds the same strips to build exp(f) in s straight from a
@@ -39,12 +41,13 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
 The character memo of the oracle is a plain dict; every other table is a
 ``functools.cache`` function.  Both are append-only, so concurrent readers
 are safe (a duplicated computation stores the same value twice);
-``clear_caches`` empties them all.  Every change-of-basis row is held in
-the kernels' read-only integer form ``IntTerms``.  A conversion reads its
-input and rows over one denominator each and returns the integer form of
-its sum, except that a single term b_lam returns its memo row itself as
-the result's ``terms``, so a row may be shared by any number of values
-and must never be mutated.
+``clear_caches`` empties them all.  Every change-of-basis row, like every
+value's ``terms``, is held in the kernels' read-only integer form
+``IntTerms``.  A conversion reads the numerators and denominator of its
+input and rows and returns the integer form of its sum, except that a
+single term b_lam returns its memo row itself as the result's ``terms``,
+so a row may be shared by any number of values and must never be
+mutated.
 """
 
 from __future__ import annotations
@@ -134,12 +137,6 @@ def _beta_mask(lam: tuple, n: int) -> int:
     return mask
 
 
-@functools.cache
-def _weight_index(n: int) -> list[tuple[Partition, int]]:
-    """(lam, beta mask) for every lam of weight n, in ascending order."""
-    return [(lam, _beta_mask(lam, n)) for lam in partitions_of(n)]
-
-
 def _mask_partition(mask: int) -> Partition:
     """The partition of a beta mask: its j-th lowest bead (from 0) at slot
     b is the part b - j."""
@@ -217,11 +214,10 @@ def _horner(terms: dict[tuple, int]) -> dict[int, int]:
 
 # ------------------------------------------------- change-of-basis tables
 
-def _omega(terms) -> kernels.IntTerms:
+def _omega(terms: kernels.IntTerms) -> kernels.IntTerms:
     """The involution omega over p: p_mu -> (-1)^(|mu| - len(mu)) p_mu."""
-    nums, den = kernels._ints(terms)
     return kernels.IntTerms({mu: -v if (sum(mu) - len(mu)) % 2 else v
-                             for mu, v in nums.items()}, den)
+                             for mu, v in terms.nums.items()}, terms.den)
 
 
 _EMPTY_ROW = kernels.IntTerms({Partition(): 1}, 1)
@@ -262,7 +258,7 @@ def _s_in_p(lam: tuple) -> kernels.IntTerms:
     mask = _beta_mask(lam, n)
     order = factorial(n)
     out = {}
-    for mu, _ in _weight_index(n):
+    for mu in partitions_of(n):
         chi = _column(mu).get(mask)
         if chi:
             out[mu] = chi * (order // z(mu))
@@ -278,7 +274,7 @@ def _m_in_p(lam: tuple) -> kernels.IntTerms:
         v = row.nums.get(lam)
         if v:
             out[mu] = Fraction(v, row.den * z(mu))
-    return kernels.IntTerms(*kernels._ints(out))
+    return kernels.IntTerms.of(out)
 
 
 @functools.cache
@@ -291,7 +287,7 @@ def _p_in_m(mu: tuple) -> kernels.IntTerms:
         v = row.nums.get(mu)
         if v:
             out[lam] = Fraction(v * zmu, row.den)
-    return kernels.IntTerms(*kernels._ints(out))
+    return kernels.IntTerms.of(out)
 
 
 def clear_caches() -> None:
@@ -304,39 +300,38 @@ def clear_caches() -> None:
     valid, so the call is harmless apart from the recomputation it causes.
     """
     _char_cache.clear()
-    for memo in (_column, _weight_index, _hlam_in_p, _plam_in_h,
-                 _s_in_p, _m_in_p, _p_in_m):
+    for memo in (_column, _hlam_in_p, _plam_in_h, _s_in_p, _m_in_p, _p_in_m):
         memo.cache_clear()
 
 
 # -------------------------------------------------------------- conversions
 
-def _change_basis(terms, table):
+def _change_basis(terms: kernels.IntTerms, table) -> kernels.IntTerms:
     """sum over lam of terms[lam] * table(lam): one sparse linear
     combination of rows, as a change of basis (``to_p``, ``from_p``) or a
     substitution (``products.plethysm``).
 
     A single term b_lam is its row ``table(lam)`` itself, so the result may
-    be a shared memo row and must never be mutated.  Otherwise the input
-    and the rows are read over one denominator each, the sum runs on Python
-    ints, and the result is their integer form over the product of the
-    input's denominator and the lcm of the rows'.
+    be a shared memo row and must never be mutated.  Otherwise the sum runs
+    on the numerators of the input and the rows, and the result is its
+    integer form over the product of the input's denominator and the lcm of
+    the rows'.
     """
-    nums, den_in = kernels._ints(terms)
-    if len(nums) == 1 and den_in == 1:
+    nums = terms.nums
+    if len(nums) == 1 and terms.den == 1:
         [(lam, v)] = nums.items()
         if v == 1:
             return table(lam)
-    rows = [(v, kernels._ints(table(lam))) for lam, v in nums.items()]
-    den_rows = lcm(*[den for _, (_, den) in rows])
+    rows = [(v, table(lam)) for lam, v in nums.items()]
+    den_rows = lcm(*[row.den for _, row in rows])
     acc: dict[Partition, int] = {}
     get = acc.get
-    for v, (row, den) in rows:
-        scale = v * (den_rows // den)
-        for mu, r in row.items():
+    for v, row in rows:
+        scale = v * (den_rows // row.den)
+        for mu, r in row.nums.items():
             acc[mu] = get(mu, 0) + scale * r
     return kernels.IntTerms.reduced({mu: v for mu, v in acc.items() if v},
-                                    den_in * den_rows)
+                                    terms.den * den_rows)
 
 
 # e_lam = omega(h_lam) and omega is linear: e runs through the h tables,
@@ -373,15 +368,8 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
         return f
     if target == "s":
         # Over one common denominator the Horner sum runs on Python ints.
-        nums, den = kernels._ints(f.terms)
-        vec = _horner(nums)
-        out = {}
-        for n in f.weights():
-            for lam, mask in _weight_index(n):
-                v = vec.get(mask)
-                if v:
-                    out[lam] = v
-        return SymFunc._of("s", kernels.IntTerms.reduced(out, den), f.degree)
+        out = {_mask_partition(mask): v for mask, v in _horner(f.terms.nums).items() if v}
+        return SymFunc._of("s", kernels.IntTerms.reduced(out, f.terms.den), f.degree)
     terms = _omega(f.terms) if target == "e" else f.terms
     return SymFunc._of(target, _change_basis(terms, _FROM_P[target]), f.degree)
 
@@ -404,7 +392,7 @@ def exp_in_s(f: SymFunc) -> SymFunc:
     """
     if f.basis != "p":
         raise BasisError("exp_in_s expects a p-basis input")
-    nums, den_f = kernels._ints(f.terms)
+    nums, den_f = f.terms.nums, f.terms.den
     if nums.get(()):
         raise ValueError("exp_in_s needs a zero constant term")
     jf: dict[int, list] = {}
@@ -481,5 +469,5 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
                     elif b in v:
                         del v[b]
         vectors.append(v)
-        result[lam] = SymFunc._of("m", v, n)
+        result[lam] = SymFunc._of("m", kernels.IntTerms.of(v), n)
     return result

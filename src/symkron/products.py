@@ -16,7 +16,7 @@ from fractions import Fraction
 from symkron import _kernels as kernels
 from symkron import bases
 from symkron.partitions import Partition, partitions_of, z
-from symkron.series import BasisError, SymFunc, _exact
+from symkron.series import BasisError, SymFunc, _exact, _select
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,27 +62,25 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     fp = bases.to_p(f)
     degree = min(fp.degree, g.degree)
 
-    dilated: dict[int, dict] = {}
+    dilated: dict[int, kernels.IntTerms] = {}
 
-    def dilate(m: int) -> dict:
+    def dilate(m: int) -> kernels.IntTerms:
         cached = dilated.get(m)
         if cached is None:
-            cached = {
-                Partition(m * p for p in key): c
-                for key, c in g.terms.items()
-                if m * sum(key) <= degree
-            }
-            dilated[m] = cached
+            cached = dilated[m] = kernels.IntTerms.reduced(
+                {Partition(m * p for p in key): v
+                 for key, v in g.terms.nums.items() if m * key.weight <= degree},
+                g.terms.den)
         return cached
 
-    def substitute(lam: Partition) -> dict:
-        acc = {Partition(): _ONE}
+    def substitute(lam: Partition) -> kernels.IntTerms:
+        acc = bases._EMPTY_ROW
         for m in lam:
             acc = kernels.mul_terms(acc, dilate(m), degree)
         return acc
 
     # every part of g has degree >= 1, so heavier terms of f vanish
-    kept = {lam: c for lam, c in fp.terms.items() if lam.weight <= degree}
+    kept = _select(fp.terms, lambda w: w <= degree)
     return SymFunc._of("p", bases._change_basis(kept, substitute), degree)
 
 

@@ -6,11 +6,12 @@ degree N.  It stands for its series modulo terms of total degree > N, where
 the variable indexed by k carries degree k; every operation propagates the
 minimum N of its inputs.  Coefficients are ``fractions.Fraction`` values,
 so everything is exact and canonical (lowest terms, positive denominator).
-``terms`` is a dict, or the read-only integer form ``_kernels.IntTerms``
-that the kernels return: integer numerators over one reduced denominator,
+``terms`` is always the kernels' read-only integer form
+``_kernels.IntTerms``: integer numerators over one reduced denominator,
 whose ``Fraction`` values are built when first read.  Kernels,
-comparisons, ``truncate`` and ``graded_component`` read that form
-directly, so a chain of them builds no ``Fraction``.
+comparisons, arithmetic, coefficient reads, ``truncate`` and
+``graded_component`` work on the numerators, so a chain of them builds no
+``Fraction`` map.
 
 Values are immutable by convention: operations return new objects, and the
 ``terms`` map of an existing value must never be mutated.  A result's
@@ -21,11 +22,13 @@ same term returns again.
 Validation happens once, at the boundary.  The public constructor, the
 ``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key
 and coefficient: each partition once, each coefficient an ``int`` or a
-``Fraction``.  Every value then meets the invariant: ``Partition`` keys,
-nonzero ``Fraction`` values and weights at most the degree.  Operations on
-values that meet it build their results through the trusted ``_of``, which
-only assigns fields; so every producer of terms (the kernels and the
-conversion tables included) emits ``Partition`` keys itself.
+``Fraction``, and converts the checked map to ``IntTerms`` once.  Every
+value then meets the invariant: ``terms`` an ``IntTerms`` with
+``Partition`` keys, nonzero numerators, a positive denominator in lowest
+terms with them, and weights at most the degree.  Operations on values
+that meet it build their results through the trusted ``_of``, which only
+assigns fields; so every producer of terms (the kernels and the
+conversion tables included) emits that form itself.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ import json
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 
 from symkron import _kernels as kernels
+from symkron._kernels import IntTerms
 from symkron.partitions import Partition
 
 BASES = ("m", "e", "h", "p", "s")
@@ -64,14 +69,10 @@ def _exact(c) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals (int or Fraction), not {kind}")
 
 
-def _select(terms, keep) -> Mapping:
-    """The terms whose weight w has keep(w).  An ``IntTerms`` stays on its
-    numerators and gives the reduced form of those it keeps, building no
-    ``Fraction``."""
-    if type(terms) is kernels.IntTerms:
-        return kernels.IntTerms.reduced(
-            {k: v for k, v in terms.nums.items() if keep(k.weight)}, terms.den)
-    return {k: c for k, c in terms.items() if keep(k.weight)}
+def _select(terms: IntTerms, keep) -> IntTerms:
+    """The reduced form of the terms whose weight w has keep(w), read from
+    the numerators."""
+    return IntTerms.reduced({k: v for k, v in terms.nums.items() if keep(k.weight)}, terms.den)
 
 
 def term_order(lam) -> tuple:
@@ -101,16 +102,17 @@ class SymFunc:
                 raise ValueError(f"term {lam!r} exceeds truncation degree {degree}")
             clean[lam] = c
         self.basis = basis
-        self.terms = {lam: c for lam, c in clean.items() if c}
+        self.terms = IntTerms.of({lam: c for lam, c in clean.items() if c})
         self.degree = degree
 
     @classmethod
-    def _of(cls, basis: str, terms: Mapping, degree: int) -> "SymFunc":
+    def _of(cls, basis: str, terms: IntTerms, degree: int) -> "SymFunc":
         """Trusted constructor: assigns the fields without checking them.
 
-        Only for terms that already meet the invariant (``Partition`` keys,
-        nonzero ``Fraction`` values, weights at most ``degree``), such as
-        the results of operations on valid values and of the kernels.
+        Only for terms that already meet the invariant (a reduced
+        ``IntTerms`` with ``Partition`` keys and weights at most
+        ``degree``), such as the results of operations on valid values and
+        of the kernels.
         """
         f = object.__new__(cls)
         f.basis = basis
@@ -137,12 +139,14 @@ class SymFunc:
 
     def coefficient(self, lam) -> Fraction:
         """Coefficient of the given partition (0 if absent); lam that is not
-        a ``Partition`` is validated as one first (ValueError otherwise)."""
-        return self.terms.get(lam if type(lam) is Partition else Partition(lam), _ZERO)
+        a ``Partition`` is validated as one first (ValueError otherwise).
+        Builds one ``Fraction``, not the value's whole map."""
+        v = self.terms.nums.get(lam if type(lam) is Partition else Partition(lam))
+        return _ZERO if v is None else Fraction(v, self.terms.den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((), _ZERO)
+        return self.coefficient(Partition())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -184,16 +188,16 @@ class SymFunc:
             return NotImplemented
         self._check_basis(other)
         degree = min(self.degree, other.degree)
-        out = {k: c for k, c in self.terms.items() if k.weight <= degree}
-        for k, c in other.terms.items():
-            if k.weight > degree:
-                continue
-            s = out.get(k, _ZERO) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return SymFunc._of(self.basis, out, degree)
+        a, b = self.terms, other.terms
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        out = {k: v * sa for k, v in a.nums.items() if k.weight <= degree}
+        get = out.get
+        for k, v in b.nums.items():
+            if k.weight <= degree:
+                out[k] = get(k, 0) + v * sb
+        return SymFunc._of(self.basis,
+                           IntTerms.reduced({k: v for k, v in out.items() if v}, den), degree)
 
     def __neg__(self):
         return self.scale(-1)
@@ -207,8 +211,11 @@ class SymFunc:
         """Multiply every coefficient by the rational c."""
         c = _exact(c)
         if not c:
-            return SymFunc._of(self.basis, {}, self.degree)
-        return SymFunc._of(self.basis, {k: c * v for k, v in self.terms.items()}, self.degree)
+            return SymFunc._of(self.basis, IntTerms({}, 1), self.degree)
+        n = c.numerator
+        return SymFunc._of(self.basis, IntTerms.reduced(
+            {k: n * v for k, v in self.terms.nums.items()}, c.denominator * self.terms.den),
+            self.degree)
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):

@@ -393,6 +393,15 @@ def test_from_p_to_s_of_weights_sharing_trie_paths():
     assert from_p(f, "s") == s_expansion_by_oracle(f)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_one_cycle_in_s_is_the_alternating_hook_sum(n):
+    # p_n = sum over k < n of (-1)^k s_(n-k, 1^k) (Macdonald, I.3 Ex. 11),
+    # from cold caches: a sparse input reads back only the masks it makes.
+    symkron.clear_caches()
+    hooks = {(n - k,) + (1,) * k: (-1) ** k for k in range(n)}
+    assert from_p(SymFunc.single("p", (n,), n), "s") == SymFunc("s", hooks, n)
+
+
 def test_from_p_to_s_keeps_the_constant_term():
     assert from_p(SymFunc.single("p", (), 4, F(-5, 3)), "s") == \
         SymFunc.single("s", (), 4, F(-5, 3))
@@ -450,7 +459,7 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
              for module in (symkron.bases, symkron.named, symkron.partitions,
                             symkron._kernels)
              for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
-    assert {"symkron.bases._column", "symkron.bases._weight_index",
+    assert {"symkron.bases._column",
             "symkron.bases._hlam_in_p", "symkron.bases._plam_in_h",
             "symkron.bases._s_in_p", "symkron.bases._m_in_p",
             "symkron.bases._p_in_m",

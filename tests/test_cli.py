@@ -107,6 +107,22 @@ def test_kron_rejects_malformed_terms(tmp_path, capsys):
         assert err.startswith("error: malformed series JSON:")
 
 
+@pytest.mark.parametrize("partition", [[1, 2], [0], [2.5], [True], "12"])
+def test_kron_rejects_what_is_not_a_partition(partition, tmp_path, capsys):
+    # The kernels trust their keys, so the JSON boundary is the only guard.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"basis": "p", "degree": 3, "terms": [
+        {"partition": partition, "coefficient": 1}]}))
+    good = tmp_path / "good.json"
+    good.write_text(SymFunc.single("p", (2, 1), 3).to_json())
+    for lhs, rhs in ((path, good), (good, path)):
+        status, out, err = run(["kron", "--lhs", str(lhs), "--rhs", str(rhs)], capsys)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: parts must be")
+        assert repr(tuple(partition)) in err
+
+
 def test_kron_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

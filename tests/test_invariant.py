@@ -1,13 +1,15 @@
-"""Results built by the trusted constructor ``SymFunc._of`` meet the
-invariant the validating constructor establishes: ``Partition`` keys,
-nonzero ``Fraction`` values in lowest terms, weights at most the degree."""
+"""Every producer of ``SymFunc`` values meets the invariant the validating
+constructor establishes: ``terms`` is a reduced ``IntTerms`` (``Partition``
+keys, nonzero int numerators, a positive denominator with gcd 1 across
+them), with weights at most the degree."""
 
 import math
 import random
 from fractions import Fraction
 
 from conftest import random_symfunc
-from symkron.bases import exp_in_s, from_p, to_p
+from symkron._kernels import IntTerms
+from symkron.bases import exp_in_s, from_p, schur_by_gram_schmidt, to_p
 from symkron.named import TAGS, expand, exponent
 from symkron.partitions import Partition
 from symkron.products import UnivariateFactor, kronecker, plethysm
@@ -16,12 +18,16 @@ from symkron.verify import _parity_support
 
 
 def assert_invariant(f: SymFunc, label: str) -> None:
-    for key, c in f.terms.items():
+    terms = f.terms
+    assert type(terms) is IntTerms, (label, type(terms))
+    assert type(terms.den) is int and terms.den > 0, (label, terms.den)
+    for key, v in terms.nums.items():
         assert type(key) is Partition, (label, key)
-        assert type(c) is Fraction and c, (label, c)
-        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1, (label, c)
+        assert type(v) is int and v, (label, v)
         assert key.weight <= f.degree, (label, key, f.degree)
-    assert SymFunc(f.basis, dict(f.terms), f.degree) == f, label
+    assert math.gcd(terms.den, *terms.nums.values()) == 1, (label, terms)
+    assert all(type(c) is Fraction for c in terms.values()), label
+    assert SymFunc(f.basis, dict(terms), f.degree) == f, label
 
 
 def trusted_results(rng: random.Random):
@@ -33,6 +39,7 @@ def trusted_results(rng: random.Random):
     yield "+", f + g
     yield "-", f - g
     yield "scale", f.scale(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    yield "neg", -f
     d = rng.randint(0, degree)
     yield "truncate", f.truncate(d)
     yield "graded_component", f.graded_component(d)
@@ -46,6 +53,8 @@ def trusted_results(rng: random.Random):
     yield "plethysm", plethysm(f, random_symfunc(rng, "p", degree, constant_free=True))
     yield "exp_in_s", exp_in_s(random_symfunc(rng, "p", degree, constant_free=True))
     yield "expand", expand(rng.choice(TAGS), degree)
+    for lam, schur in schur_by_gram_schmidt(rng.randint(1, 5)).items():
+        yield f"schur_by_gram_schmidt {lam}", schur
 
 
 def test_trusted_results_meet_the_invariant():

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import constant_free_p_series, random_symfunc
 from symkron import _kernels as kernels
+from symkron.named import exponent
 from symkron.partitions import Partition, partitions_of
+from symkron.products import plethysm
 from symkron.series import BasisError, SymFunc, exp_series
 
 F = Fraction
@@ -83,6 +85,18 @@ def test_coefficient_reads_partitions_only():
     assert f.coefficient(()) == 1 and f.coefficient((6,)) == 0
     # a Partition key is a plain lookup, an int-form value included
     assert f.coefficient(Partition((1, 1))) == f.terms[Partition((1, 1))] == F(1, 2)
+
+
+def test_coefficient_reads_build_no_fraction_map():
+    # Reading one coefficient builds one Fraction, not the value's map; so
+    # do the constant-term checks of exp_series and plethysm.
+    f = exponent("S", 20)
+    assert f.coefficient((1,)) == 1 and f.coefficient((1, 1)) == F(1, 2)
+    assert f.coefficient((3, 3)) == F(1, 6) and f.coefficient((2,)) == 0
+    assert f.constant_term == 0 and type(f.constant_term) is Fraction
+    assert exp_series(f).constant_term == 1
+    plethysm(SymFunc.single("p", (2,), 4), f.truncate(4))
+    assert f.terms._fractions is None
 
 
 @pytest.mark.parametrize("lam", [(True,), [1, 2], [0], [2.0], (3, -1), ("1",)])
@@ -356,11 +370,14 @@ def test_truncate_and_graded_component_stay_on_numerators(f, d, constant):
     # integer result keeps fewer terms, so it must divide out their gcd.
     if constant:
         f = SymFunc("p", {**f.terms, (): constant}, f.degree)
-    nums, den = kernels._ints(f.terms)
-    g = SymFunc._of("p", kernels.IntTerms.reduced(nums, den), f.degree)
+    # the Fraction map, built by hand so that f's own map stays unbuilt
+    fractions = {k: F(v, f.terms.den) for k, v in f.terms.nums.items()}
     d = min(d, f.degree)
-    for got, want in ((g.truncate(d), f.truncate(d)),
-                      (g.graded_component(d), f.graded_component(d))):
+    for got, want in (
+            (f.truncate(d),
+             SymFunc("p", {k: c for k, c in fractions.items() if k.weight <= d}, d)),
+            (f.graded_component(d),
+             SymFunc("p", {k: c for k, c in fractions.items() if k.weight == d}, f.degree))):
         terms = got.terms
         assert type(terms) is kernels.IntTerms and terms._fractions is None
         assert all(type(k) is Partition for k in terms.nums)

@@ -217,7 +217,7 @@ def test_support_claims_fail_at_p_to_s_when_omega_still_holds(monkeypatch):
     mu = Partition((3, 2, 1))
     change = {mu: F(1)}
     monkeypatch.setattr("symkron.verify.named.expand", _mutated_expand(
-        {NamedSeries.SEINV: change, NamedSeries.SHINV: _omega(change)}))
+        {NamedSeries.SEINV: change, NamedSeries.SHINV: _omega(IntTerms.of(change))}))
     calls = _count_from_p(monkeypatch)
     report = verify_support_claims(8)
     assert not report.passed()
@@ -257,7 +257,7 @@ def test_support_claims_fail_above_the_cross_check_in_s(monkeypatch):
     mu = Partition((14,))
     change = {mu: F(1, 14)}
     _mutated_exponents(monkeypatch, {NamedSeries.SEINV: change,
-                                     NamedSeries.SHINV: _omega(change)})
+                                     NamedSeries.SHINV: _omega(IntTerms.of(change))})
     calls = _count_from_p(monkeypatch)
     assert verify_support_claims(13).passed()
     report = verify_support_claims(16)
