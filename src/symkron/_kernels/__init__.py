@@ -4,11 +4,11 @@ A term map is an ``IntTerms``: a read-only ``Mapping`` from ``Partition``
 keys (weakly decreasing integer tuples) to rationals, held as integer
 numerators over one reduced denominator, whose ``fractions.Fraction``
 values are built when first read.  ``IntTerms.of`` brings a map of
-Fractions into that form once, at the boundary.  Each kernel exists once,
-in Python, reads its inputs' ``nums`` and ``den`` and computes on Python
-ints; ``mul_terms``, ``exp_terms`` and ``kron_terms`` return an
-``IntTerms``, so a chain of kernels builds no ``Fraction`` at all.  The
-kernels trust their inputs' keys to be partitions and validate none.
+Fractions into that form once.  Each kernel exists once, in Python, reads
+its inputs' ``nums`` and ``den`` and computes on Python ints;
+``mul_terms``, ``exp_terms`` and ``kron_terms`` return an ``IntTerms``,
+so a chain of kernels builds no ``Fraction`` at all.  The kernels trust
+their inputs' keys to be partitions and validate none.
 
 The two multiplicative kernels share one integer coding of keys.  A key is
 the int sum of 2**((part - 1) * shift) over its parts, with
@@ -18,8 +18,9 @@ Every key they code or produce weighs at most ``limit``, so no multiplicity
 (at most ``limit``) overflows its field.  They run one pair loop,
 ``_pair_sums``, on weight slices of coded rows, and the output codes are
 decoded at the end.  A code stands for the same partition under every
-limit of its width, so each code is decoded and validated once per process
-and width: ``_decoded(shift)`` keeps the ``Partition`` of every code
+limit of its width, so each code is decoded once per process and width
+(and not validated: decoding yields positive, decreasing parts by
+construction): ``_decoded(shift)`` keeps the ``Partition`` of every code
 decoded at that width, and every result shares that one key object per
 partition.  Input keys never enter the table.
 """
@@ -155,7 +156,8 @@ def _decoded(shift: int) -> dict:
 
 def _decode(code: int, shift: int) -> Partition:
     """The partition with multiplicity (code >> (part - 1) * shift) & mask
-    for each part size."""
+    for each part size.  Its parts are positive and come out weakly
+    decreasing, so the ``Partition`` is built without re-validating them."""
     mask = (1 << shift) - 1
     parts: list = []
     part = 1
@@ -164,7 +166,7 @@ def _decode(code: int, shift: int) -> Partition:
         code >>= shift
         part += 1
     parts.reverse()
-    return Partition(parts)
+    return tuple.__new__(Partition, parts)
 
 
 def _decode_into(out: dict, rows, shift: int, scale: int = 1) -> None:

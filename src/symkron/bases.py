@@ -139,7 +139,8 @@ def _beta_mask(lam: tuple, n: int) -> int:
 
 def _mask_partition(mask: int) -> Partition:
     """The partition of a beta mask: its j-th lowest bead (from 0) at slot
-    b is the part b - j."""
+    b is the part b - j.  Those parts are positive and come out weakly
+    decreasing, so the ``Partition`` is built without re-validating them."""
     parts = []
     j = 0
     while mask:
@@ -150,7 +151,7 @@ def _mask_partition(mask: int) -> Partition:
             parts.append(part)
         j += 1
     parts.reverse()
-    return Partition(parts)
+    return tuple.__new__(Partition, parts)
 
 
 def _add_strips(vec: dict[int, int], t: int, acc: dict[int, int]) -> None:

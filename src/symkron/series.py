@@ -9,9 +9,9 @@ so everything is exact and canonical (lowest terms, positive denominator).
 ``terms`` is always the kernels' read-only integer form
 ``_kernels.IntTerms``: integer numerators over one reduced denominator,
 whose ``Fraction`` values are built when first read.  Kernels,
-comparisons, arithmetic, coefficient reads, ``truncate`` and
-``graded_component`` work on the numerators, so a chain of them builds no
-``Fraction`` map.
+comparisons, arithmetic, coefficient reads, ``truncate``,
+``graded_component`` and JSON output and input work on the numerators, so
+a chain of them builds no ``Fraction`` map.
 
 Values are immutable by convention: operations return new objects, and the
 ``terms`` map of an existing value must never be mutated.  A result's
@@ -21,14 +21,23 @@ same term returns again.
 
 Validation happens once, at the boundary.  The public constructor, the
 ``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key
-and coefficient: each partition once, each coefficient an ``int`` or a
-``Fraction``, and converts the checked map to ``IntTerms`` once.  Every
-value then meets the invariant: ``terms`` an ``IntTerms`` with
-``Partition`` keys, nonzero numerators, a positive denominator in lowest
-terms with them, and weights at most the degree.  Operations on values
-that meet it build their results through the trusted ``_of``, which only
-assigns fields; so every producer of terms (the kernels and the
-conversion tables included) emits that form itself.
+and coefficient once, through one builder (``_checked_terms``) over each
+term's partition, numerator and denominator, which also builds the
+reduced ``IntTerms``.  The constructor takes an ``int`` or a ``Fraction``
+per coefficient; ``from_json`` reads a JSON integer or a rational string
+straight to a numerator and a denominator, with one regex match, and
+builds no ``Fraction``.  Every value then meets the invariant: ``terms``
+an ``IntTerms`` with ``Partition`` keys, nonzero numerators, a positive
+denominator in lowest terms with them, and weights at most the degree.
+Operations on values that meet it build their results through the
+trusted ``_of``, which only assigns fields; so every producer of terms
+(the kernels and the conversion tables included) emits that form itself.
+
+JSON output is one sorted list of (partition, canonical coefficient
+string) pairs, each string made from a numerator with one gcd.
+``to_json_dict`` wraps those pairs in dicts, and ``to_json`` writes them
+as text in the fixed layout of ``json.dumps(..., indent=2)``, byte for
+byte, without building the dicts.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import json
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from symkron import _kernels as kernels
 from symkron._kernels import IntTerms
@@ -52,7 +61,8 @@ Coefficient = Fraction
 _ZERO = Fraction(0)
 
 #: The coefficient strings ``to_json_dict`` writes; JSON input must match.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+#: The groups are the numerator and the denominator, if any.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class BasisError(ValueError):
@@ -67,6 +77,44 @@ def _exact(c) -> Fraction:
         return Fraction(c)
     kind = "floats" if isinstance(c, float) else type(c).__name__
     raise TypeError(f"coefficients must be exact rationals (int or Fraction), not {kind}")
+
+
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator) of c in lowest terms; c as in ``_exact``."""
+    if type(c) is int:
+        return c, 1
+    c = _exact(c)
+    return c.numerator, c.denominator
+
+
+def _checked_terms(basis: str, degree: int, items, ratio=None) -> IntTerms:
+    """The boundary's checks, each run once, and the reduced integer form.
+
+    Checks the basis and the degree, then each (partition, coefficient) of
+    ``items`` in turn: the partition (validated unless it is a
+    ``Partition`` already), that it appears once, the coefficient, and,
+    when it is nonzero, that the partition's weight is at most the
+    degree.  A coefficient is a (numerator, denominator) pair in lowest
+    terms with the denominator positive, or whatever ``ratio`` turns into
+    one.  The result is over the lcm of the denominators, which keeps it
+    reduced: a prime dividing the lcm divides some denominator as often,
+    and so neither that term's numerator nor its scale factor.
+    """
+    if basis not in BASES:
+        raise BasisError(f"unknown basis {basis!r}; expected one of {BASES}")
+    if type(degree) is not int or degree < 0:  # bool is an int subclass
+        raise ValueError(f"truncation degree must be a non-negative integer: {degree!r}")
+    terms: dict[Partition, tuple[int, int]] = {}
+    for lam, c in items:
+        if not isinstance(lam, Partition):
+            lam = Partition(lam)
+        if lam in terms:
+            raise ValueError(f"partition {list(lam)} appears twice")
+        n, d = terms[lam] = c if ratio is None else ratio(c)
+        if n and sum(lam) > degree:
+            raise ValueError(f"term {lam!r} exceeds truncation degree {degree}")
+    den = lcm(*[d for _, d in terms.values()])
+    return IntTerms({lam: n * (den // d) for lam, (n, d) in terms.items() if n}, den)
 
 
 def _select(terms: IntTerms, keep) -> IntTerms:
@@ -86,23 +134,9 @@ class SymFunc:
     __slots__ = ("basis", "terms", "degree")
 
     def __init__(self, basis: str, terms, degree: int):
-        if basis not in BASES:
-            raise BasisError(f"unknown basis {basis!r}; expected one of {BASES}")
-        if type(degree) is not int or degree < 0:  # bool is an int subclass
-            raise ValueError(f"truncation degree must be a non-negative integer: {degree!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Partition, Fraction] = {}
-        for lam, c in items:
-            if not isinstance(lam, Partition):
-                lam = Partition(lam)
-            if lam in clean:
-                raise ValueError(f"partition {list(lam)} appears twice")
-            c = _exact(c)
-            if c and lam.weight > degree:
-                raise ValueError(f"term {lam!r} exceeds truncation degree {degree}")
-            clean[lam] = c
+        self.terms = _checked_terms(basis, degree, items, _ratio)
         self.basis = basis
-        self.terms = IntTerms.of({lam: c for lam, c in clean.items() if c})
         self.degree = degree
 
     @classmethod
@@ -150,10 +184,6 @@ class SymFunc:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
-        """Terms ordered by (weight, lexicographic partition order)."""
-        return sorted(self.terms.items(), key=lambda kv: term_order(kv[0]))
 
     def weights(self) -> list[int]:
         """Weights that carry at least one term, ascending."""
@@ -261,20 +291,44 @@ class SymFunc:
 
     # ------------------------------------------------------------- JSON IO
 
+    def _json_terms(self) -> list[tuple[Partition, str]]:
+        """(partition, coefficient string) of each term, sorted by (weight,
+        lex); the string is canonical ("3", "-1/2"), read from the
+        numerator with one gcd."""
+        nums, den = self.terms.nums, self.terms.den
+        out = []
+        for lam in sorted(nums, key=term_order):
+            n = nums[lam]
+            g = gcd(n, den)
+            d = den // g
+            out.append((lam, str(n // g) if d == 1 else f"{n // g}/{d}"))
+        return out
+
     def to_json_dict(self) -> dict:
         """Deterministic JSON form: terms sorted by (weight, lex), canonical
         rational strings ("3", "-1/2")."""
         return {
             "basis": self.basis,
             "degree": self.degree,
-            "terms": [
-                {"partition": list(lam), "coefficient": str(c)}
-                for lam, c in self.sorted_terms()
-            ],
+            "terms": [{"partition": list(lam), "coefficient": text}
+                      for lam, text in self._json_terms()],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The text of ``json.dumps(self.to_json_dict(), indent=2)``,
+        written directly in that fixed layout."""
+        rows = []
+        for lam, text in self._json_terms():
+            if lam:
+                parts = ",\n        ".join(map(str, lam))
+                partition = f"[\n        {parts}\n      ]"
+            else:
+                partition = "[]"
+            rows.append(f'    {{\n      "partition": {partition},\n'
+                        f'      "coefficient": "{text}"\n    }}')
+        terms = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return (f'{{\n  "basis": "{self.basis}",\n  "degree": {self.degree},\n'
+                f'  "terms": {terms}\n}}')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymFunc":
@@ -282,26 +336,38 @@ class SymFunc:
         integers or rational strings such as "-1/2": a JSON float is already
         inexact when parsed, and a string like "1e100000000" would take
         unbounded time to expand, so both are rejected rather than
-        converted.  Each partition may appear once."""
+        converted.  Each partition may appear once.
+
+        Each coefficient is read straight to an integer numerator and
+        denominator (one regex match) and checked; the constructor's checks
+        (``_checked_terms``) build the integer form from those pairs, so no
+        ``Fraction`` is made."""
         try:
             basis = data["basis"]
             degree = data["degree"]
-            terms = {}
+            items = {}
             for t in data["terms"]:
                 lam = tuple(t["partition"])
                 c = t["coefficient"]
-                if type(c) is not int and not (isinstance(c, str) and _RATIONAL.fullmatch(c)):
+                match = _RATIONAL.fullmatch(c) if isinstance(c, str) else None
+                if match is None and type(c) is not int:
                     raise TypeError(f"coefficient {c!r} is not an integer or a "
                                     "rational string")
-                if lam in terms:
+                if lam in items:
                     raise ValueError(f"partition {list(lam)} appears twice")
-                try:
-                    terms[lam] = Fraction(c)
-                except ZeroDivisionError:
-                    raise ValueError(f"coefficient {c!r} has a zero denominator") from None
+                if match is None:
+                    n, d = c, 1
+                else:
+                    n, d = int(match[1]), int(match[2] or 1)
+                    if not d:
+                        raise ValueError(f"coefficient {c!r} has a zero denominator")
+                    g = gcd(n, d)
+                    if g != 1:
+                        n, d = n // g, d // g
+                items[lam] = n, d
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
-        return cls(basis, terms, degree)
+        return cls._of(basis, _checked_terms(basis, degree, items.items()), degree)
 
     @classmethod
     def from_json(cls, text: str) -> "SymFunc":
@@ -309,6 +375,8 @@ class SymFunc:
             data = json.loads(text)
         except RecursionError:
             raise ValueError("malformed series JSON: nested too deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"malformed series JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
 

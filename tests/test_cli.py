@@ -132,6 +132,23 @@ def test_kron_rejects_deeply_nested_json(tmp_path, capsys):
     assert err.startswith("error: malformed series JSON:")
 
 
+def test_kron_prefixes_json_decode_errors(tmp_path, capsys):
+    # json.loads' own errors: text cut short, and a JSON integer longer
+    # than Python's int-from-string limit (4300 digits).
+    good = SymFunc.single("p", (1,), 1).to_json()
+    huge = json.dumps({"basis": "p", "degree": 1, "terms": [
+        {"partition": [1], "coefficient": 7}]}).replace("7", "7" * 5000)
+    path = tmp_path / "bad.json"
+    cut = good[:good.index("[") + 2]  # ends inside the terms list
+    for text, detail in ((cut, "Expecting value"), (huge, "4300 digits")):
+        path.write_text(text)
+        status, out, err = run(["kron", "--lhs", str(path), "--rhs", str(path)], capsys)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: malformed series JSON:")
+        assert detail in err
+
+
 def test_kron_rejects_double_stdin(capsys):
     status, _, err = run(["kron", "--lhs", "-", "--rhs", "-"], capsys)
     assert status == 2

@@ -113,6 +113,22 @@ def test_exp_matches_definition(a, limit):
     assert all(type(c) is Fraction for c in g.values())
 
 
+def test_both_decoders_give_back_every_partition():
+    # The kernels' code decoder and the beta-mask decoder of the p -> s
+    # conversions build their results without Partition's checks; each must
+    # still return every partition of n <= 14, as a Partition, from its
+    # independently computed code or mask.
+    from symkron.bases import _beta_mask, _mask_partition
+    limit = 14
+    shift, _ = kernels._units(limit)
+    for n in range(limit + 1):
+        for lam in partitions_of(n):
+            code = sum(1 << ((part - 1) * shift) for part in lam)
+            for decoded in (kernels._decode(code, shift), _mask_partition(_beta_mask(lam, n))):
+                assert type(decoded) is Partition
+                assert decoded == lam and Partition(decoded) == decoded
+
+
 # Plain-tuple keys: the kernels read only the parts of a key, whatever its type.
 SMALL = {tuple(lam): F(len(lam) - 2, sum(lam) + 1) for n in range(5) for lam in partitions_of(n)}
 CONSTANT_FREE = {k: F(1, len(k) + 1) for k in SMALL if 0 < sum(k) <= 3}

@@ -354,6 +354,55 @@ def test_json_rejects_inexact_or_boolean_values():
             {"partition": [True], "coefficient": "1"}]}))
 
 
+@st.composite
+def json_series(draw):
+    """A series in any basis, with negative, multi-digit and very large
+    coefficients, the empty partition and the zero series among them."""
+    basis = draw(st.sampled_from(("m", "e", "h", "p", "s")))
+    degree = draw(st.integers(0, 7))
+    keys = [lam for n in range(degree + 1) for lam in partitions_of(n)]
+    numerators = st.one_of(st.integers(-99, 99), st.integers(-10**40, 10**40))
+    denominators = st.one_of(st.integers(1, 12), st.integers(1, 10**25))
+    coefficients = st.builds(Fraction, numerators, denominators)
+    return SymFunc(basis, draw(st.dictionaries(st.sampled_from(keys), coefficients,
+                                               max_size=8)), degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_series())
+@example(SymFunc.zero("s", 0))
+@example(SymFunc.zero("h", 5))
+@example(SymFunc("p", {(): F(-10**30, 7)}, 0))
+@example(SymFunc("m", {(): -12, (12,): F(3, 14), (1,) * 12: 10**50}, 12))
+def test_to_json_is_the_indented_json_of_to_json_dict(f):
+    text = f.to_json()
+    assert text == json.dumps(f.to_json_dict(), indent=2)
+    assert f.terms._fractions is None
+    g = SymFunc.from_json(text)
+    assert g == f and g.terms._fractions is None
+    assert g.to_json() == text
+
+
+def test_from_json_matches_the_constructor_on_fractions():
+    # The one-pass parse reads numerators and denominators itself; the
+    # constructor gets the same strings as Fractions.
+    strings = ["2/4", "-0", "007", "-6/3", "0/9", "-12/8", "5", "10/1"]
+    terms = [{"partition": [len(strings) - i], "coefficient": c} for i, c in enumerate(strings)]
+    # Zero coefficients above the degree are allowed, as in the constructor.
+    terms += [{"partition": [9, 9], "coefficient": "0"}, {"partition": [20], "coefficient": "-0/4"},
+              {"partition": [7, 1], "coefficient": 0}]
+    text = json.dumps({"basis": "h", "degree": 8, "terms": terms})
+    parsed = SymFunc.from_json(text)
+    built = SymFunc("h", {tuple(t["partition"]): Fraction(t["coefficient"]) for t in terms}, 8)
+    assert (parsed.terms.den, parsed.terms.nums) == (built.terms.den, built.terms.nums)
+    assert parsed.terms.den == 2 and parsed.terms._fractions is None
+    for c in ("1/-2", "--1", "1/", "/2", ""):
+        with pytest.raises(ValueError):
+            Fraction(c)
+        with pytest.raises(ValueError, match="malformed series JSON: coefficient"):
+            SymFunc.from_json(_one_term_json(c))
+
+
 def test_json_rejects_repeated_partitions():
     text = json.dumps({"basis": "p", "degree": 1, "terms": [
         {"partition": [1], "coefficient": 1}, {"partition": [1], "coefficient": 2}]})
