@@ -270,3 +270,25 @@ def scalar_terms(a: IntTerms, b: IntTerms) -> Fraction:
         if vb is not None:
             total += va * vb * _z(k)
     return Fraction(total, a.den * b.den)
+
+
+def triple_terms(a: IntTerms, b: IntTerms, c: IntTerms) -> Fraction:
+    """Sum over the keys all three share of a[k] * b[k] * c[k] * z(k)**2,
+    as a Fraction: the scalar product of kron(a, b) with c, without
+    building the product.
+
+    The loop walks the shortest map; the sum runs on the numerators, and
+    only the result is normalised.
+    """
+    a, b, c = sorted((a, b, c), key=len)
+    nb = b.nums
+    nc = c.nums
+    total = 0
+    for k, va in a.nums.items():
+        vb = nb.get(k)
+        if vb is not None:
+            vc = nc.get(k)
+            if vc is not None:
+                zk = _z(k)
+                total += va * vb * vc * zk * zk
+    return Fraction(total, a.den * b.den * c.den)

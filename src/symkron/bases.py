@@ -27,7 +27,9 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   (``_mask_partition``), so a sparse result costs only its own terms.
   s -> p in ``to_p`` reads integer character *columns*
   p_mu = sum_lam chi^lam(mu) s_lam, memoized per cycle type mu and built
-  from the column of mu's tail; the columns serve s -> p only.
+  from the column of mu's tail.  The columns serve s -> p only, through
+  the rows ``_s_in_p``; the default ``kronecker_coefficient`` reads those
+  same rows, so it rests on the columns and not on ``character``.
   ``exp_in_s`` adds the same strips to build exp(f) in s straight from a
   p-basis exponent f, by the Euler recurrence of ``exp_series`` on Schur
   vectors, so a series given by a short exponent is never expanded in p.
@@ -181,7 +183,8 @@ def _add_strips(vec: dict[int, int], t: int, acc: dict[int, int]) -> None:
 
 @functools.cache
 def _column(mu: tuple) -> dict[int, int]:
-    """Beta mask of lam -> chi^lam(mu), nonzero values only; s -> p only.
+    """Beta mask of lam -> chi^lam(mu), nonzero values only; read by the
+    s -> p rows ``_s_in_p`` only.
 
     Murnaghan-Nakayama read backwards: every lam of weight |mu| arises from
     a partition in the column of mu[1:] by adding one border strip of size

@@ -6,6 +6,12 @@ are diagonal:
 
     <p_lam, p_mu> = z_lam * delta(lam, mu)
     p_lam (x) p_mu = z_lam * delta(lam, mu) * p_lam
+
+So a Kronecker coefficient <s_lam (x) s_mu, s_rho> is one sum over cycle
+types nu of the three Schur coefficients [p_nu] s times z_nu**2.
+``kronecker_coefficient`` reads those coefficients straight from the s -> p
+rows of ``bases`` (``bases._s_in_p``, built from the character columns)
+and sums them with ``kernels.triple_terms``; it builds no product series.
 """
 
 from __future__ import annotations
@@ -140,19 +146,6 @@ def kron_factor(a: UnivariateFactor, b: UnivariateFactor) -> UnivariateFactor:
     return UnivariateFactor(a.n, coeffs)
 
 
-def poly_mul(a, b, order: int) -> list:
-    """Product of coefficient lists, truncated at the given order."""
-    out = [_ZERO] * (order + 1)
-    for i, ca in enumerate(a):
-        if i > order or not ca:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ca * cb
-    return out
-
-
 def poly_exp(a, order: int) -> list:
     """exp of a coefficient list with a[0] == 0, truncated at the order.
 
@@ -178,15 +171,17 @@ def poly_exp(a, order: int) -> list:
 def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
     """Multiplicity of s_rho in s_lam (x) s_mu; a non-negative integer.
 
-    The default route exercises the series pipeline: expand both Schur
-    functions over p, multiply with ``kronecker`` and pair the product with
-    s_rho by ``scalar_product`` (the s basis is orthonormal), reading the
-    character columns of ``to_p``.  With oracle=True the value is the
+    The default route reads the Schur rows of ``to_p``, [p_nu] s_lam =
+    chi^lam(nu) / z_nu, built from the character columns, and pairs the
+    three of them in one sum over the shared cycle types nu
+    (``triple_terms``): the scalar product of s_lam (x) s_mu with s_rho,
+    without building the product.  With oracle=True the value is the
     independent character sum
 
         sum over nu of chi^lam(nu) chi^mu(nu) chi^rho(nu) / z_nu,
 
-    which never touches the series machinery.
+    with characters by strip removal (``character``), which share no code
+    with the columns.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -203,8 +198,7 @@ def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
             _ZERO,
         )
     else:
-        product = kronecker(SymFunc.single("s", lam, n), SymFunc.single("s", mu, n))
-        val = scalar_product(product, SymFunc.single("s", rho, n))
+        val = kernels.triple_terms(bases._s_in_p(lam), bases._s_in_p(mu), bases._s_in_p(rho))
     if val.denominator != 1:
         raise ArithmeticError(f"non-integral Kronecker coefficient {val} at {lam}, {mu}, {rho}")
     return int(val)

@@ -32,3 +32,29 @@ def constant_free_p_series(draw):
     terms = draw(st.dictionaries(st.sampled_from(keys),
                                  st.fractions(-9, 9, max_denominator=12), max_size=6))
     return SymFunc("p", terms, degree)
+
+
+# ------------------------------------------ Fraction oracles, univariate
+
+def poly_mul(a, b, order: int) -> list:
+    """Product of coefficient lists as Fractions, truncated at the given
+    order: the reference for products of univariate factors."""
+    out = [Fraction(0)] * (order + 1)
+    for i, ca in enumerate(a):
+        if i > order or not ca:
+            continue
+        for j, cb in enumerate(b):
+            if i + j > order:
+                break
+            out[i + j] += ca * cb
+    return out
+
+
+def poly_exp_by_horner(a, order: int) -> list:
+    """Reference for ``poly_exp``: the sum of a**k / k! by Horner's rule
+    through poly_mul."""
+    result = [Fraction(1)] + [Fraction(0)] * order
+    for k in range(order, 0, -1):
+        result = [c / k for c in poly_mul(a, result, order)]
+        result[0] += 1
+    return result

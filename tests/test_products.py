@@ -5,9 +5,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_symfunc
+import symkron
+from conftest import poly_exp_by_horner, poly_mul, random_symfunc
 from symkron.bases import from_p, to_p
-from symkron.partitions import partitions_of, z
+from symkron.partitions import Partition, partitions_of, z
 from symkron.products import (
     UnivariateFactor,
     kron_factor,
@@ -15,7 +16,6 @@ from symkron.products import (
     kronecker_coefficient,
     plethysm,
     poly_exp,
-    poly_mul,
     scalar_product,
 )
 from symkron.series import BasisError, SymFunc
@@ -259,15 +259,6 @@ def test_poly_helpers():
         poly_exp([F(1)], 3)
 
 
-def poly_exp_by_horner(a, order):
-    """Reference: the sum of a**k / k! by Horner's rule through poly_mul."""
-    result = [F(1)] + [F(0)] * order
-    for k in range(order, 0, -1):
-        result = [c / k for c in poly_mul(a, result, order)]
-        result[0] += 1
-    return result
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.fractions(-9, 9, max_denominator=12), max_size=14), st.integers(0, 16))
 @example([], 0)
@@ -314,6 +305,52 @@ def test_gamma_routes_agree():
                     direct = kronecker_coefficient(lam, mu, rho)
                     assert direct >= 0
                     assert direct == kronecker_coefficient(lam, mu, rho, oracle=True)
+
+
+def product_route_coefficient(lam, mu, rho):
+    """<s_lam (x) s_mu, s_rho> through the series pipeline: the Kronecker
+    product of the two Schur functions, paired with s_rho."""
+    n = sum(lam)
+    product = kronecker(SymFunc.single("s", lam, n), SymFunc.single("s", mu, n))
+    return scalar_product(product, SymFunc.single("s", rho, n))
+
+
+def test_product_route_matches_oracle():
+    triples = [(lam, mu, rho) for n in range(7) for lam in partitions_of(n)
+               for mu in partitions_of(n) for rho in partitions_of(n)]
+    rng = random.Random(21)
+    for n in (10, 11, 12):
+        lams = partitions_of(n)
+        triples += [tuple(rng.choice(lams) for _ in range(3)) for _ in range(25)]
+    for lam, mu, rho in triples:
+        assert product_route_coefficient(lam, mu, rho) == \
+            kronecker_coefficient(lam, mu, rho, oracle=True), (lam, mu, rho)
+
+
+def test_default_and_oracle_routes_share_no_character_code(monkeypatch):
+    bases = symkron.bases
+    triples = [(lam, mu, rho) for lam in partitions_of(5) for mu in partitions_of(5)
+               for rho in ((3, 2), (2, 2, 1))]
+    symkron.clear_caches()
+    try:
+        default = [kronecker_coefficient(*t) for t in triples]
+        assert not bases._char_cache
+        symkron.clear_caches()
+        assert [kronecker_coefficient(*t, oracle=True) for t in triples] == default
+        assert bases._column.cache_info().currsize == 0
+        assert bases._s_in_p.cache_info().currsize == 0
+
+        # chi^(5,1) on the 6-cycle is -1; raising it by z(6) = 6 moves the
+        # default sum by chi^(6)(6)^2 = 1, so g((5,1), (6), (6)) = 0 reads 1
+        lam, one_row = Partition((5, 1)), Partition((6,))
+        column = bases._column((6,))
+        mask = bases._beta_mask(lam, 6)
+        monkeypatch.setitem(column, mask, column[mask] + 6)
+        assert kronecker_coefficient(lam, one_row, one_row) == 1
+        assert kronecker_coefficient(lam, one_row, one_row, oracle=True) == 0
+    finally:
+        monkeypatch.undo()
+        symkron.clear_caches()
 
 
 def test_gamma_symmetric_under_permutations():

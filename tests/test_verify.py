@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import symkron
+from conftest import poly_mul
 from symkron import named
 from symkron._kernels import IntTerms
 from symkron.bases import _omega, character, from_p
@@ -15,7 +16,6 @@ from symkron.products import (
     kron_factor,
     kronecker,
     poly_exp,
-    poly_mul,
 )
 from symkron.series import BasisError, SymFunc, exp_series
 from symkron.verify import CROSS_CHECK_DEGREE
