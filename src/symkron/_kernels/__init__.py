@@ -7,8 +7,11 @@ values are built when first read.  ``IntTerms.of`` brings a map of
 Fractions into that form once.  Each kernel exists once, in Python, reads
 its inputs' ``nums`` and ``den`` and computes on Python ints;
 ``mul_terms``, ``exp_terms`` and ``kron_terms`` return an ``IntTerms``,
-so a chain of kernels builds no ``Fraction`` at all.  The kernels trust
-their inputs' keys to be partitions and validate none.
+so a chain of kernels builds no ``Fraction`` at all; ``scalar_terms``
+builds one, its result.  The kernels trust their inputs' keys to be
+partitions and validate none.  A single Kronecker coefficient does not
+run here: ``products.kronecker_coefficient`` is one dot product of dense
+character rows, with no sparse map to walk.
 
 The two multiplicative kernels share one integer coding of keys.  A key is
 the int sum of 2**((part - 1) * shift) over its parts, with
@@ -271,24 +274,3 @@ def scalar_terms(a: IntTerms, b: IntTerms) -> Fraction:
             total += va * vb * _z(k)
     return Fraction(total, a.den * b.den)
 
-
-def triple_terms(a: IntTerms, b: IntTerms, c: IntTerms) -> Fraction:
-    """Sum over the keys all three share of a[k] * b[k] * c[k] * z(k)**2,
-    as a Fraction: the scalar product of kron(a, b) with c, without
-    building the product.
-
-    The loop walks the shortest map; the sum runs on the numerators, and
-    only the result is normalised.
-    """
-    a, b, c = sorted((a, b, c), key=len)
-    nb = b.nums
-    nc = c.nums
-    total = 0
-    for k, va in a.nums.items():
-        vb = nb.get(k)
-        if vb is not None:
-            vc = nc.get(k)
-            if vc is not None:
-                zk = _z(k)
-                total += va * vb * vc * zk * zk
-    return Fraction(total, a.den * b.den * c.den)

@@ -27,9 +27,12 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   (``_mask_partition``), so a sparse result costs only its own terms.
   s -> p in ``to_p`` reads integer character *columns*
   p_mu = sum_lam chi^lam(mu) s_lam, memoized per cycle type mu and built
-  from the column of mu's tail.  The columns serve s -> p only, through
-  the rows ``_s_in_p``; the default ``kronecker_coefficient`` reads those
-  same rows, so it rests on the columns and not on ``character``.
+  from the column of mu's tail.  Each lam is read across the columns once,
+  into the dense character row ``_char_row`` (chi^lam on every class, in
+  ``partitions_of`` order), which has two readers: the s -> p row
+  ``_s_in_p`` is that row times the class sizes ``_class_sizes``, and the
+  default ``kronecker_coefficient`` is one dot product of three rows with
+  the class sizes.  Both rest on the columns and not on ``character``.
   ``exp_in_s`` adds the same strips to build exp(f) in s straight from a
   p-basis exponent f, by the Euler recurrence of ``exp_series`` on Schur
   vectors, so a series given by a short exponent is never expanded in p.
@@ -184,7 +187,7 @@ def _add_strips(vec: dict[int, int], t: int, acc: dict[int, int]) -> None:
 @functools.cache
 def _column(mu: tuple) -> dict[int, int]:
     """Beta mask of lam -> chi^lam(mu), nonzero values only; read by the
-    s -> p rows ``_s_in_p`` only.
+    dense character rows ``_char_row`` only.
 
     Murnaghan-Nakayama read backwards: every lam of weight |mu| arises from
     a partition in the column of mu[1:] by adding one border strip of size
@@ -255,18 +258,31 @@ def _plam_in_h(mu: tuple) -> kernels.IntTerms:
 
 
 @functools.cache
-def _s_in_p(lam: tuple) -> kernels.IntTerms:
-    """[p_mu] s_lam = chi^lam(mu) / z(mu), read across the weight's columns
-    and held over n!, as chi^lam(mu) times the class size n! / z(mu)."""
+def _class_sizes(n: int) -> tuple:
+    """n! / z(mu), the size of the class of cycle type mu, for every
+    mu |- n in ``partitions_of(n)`` order."""
+    order = factorial(n)
+    return tuple(order // z(mu) for mu in partitions_of(n))
+
+
+@functools.cache
+def _char_row(lam: tuple) -> tuple:
+    """chi^lam(mu) for every mu |- |lam| in ``partitions_of`` order: row
+    lam of the character table, read once across the columns."""
     n = sum(lam)
     mask = _beta_mask(lam, n)
-    order = factorial(n)
-    out = {}
-    for mu in partitions_of(n):
-        chi = _column(mu).get(mask)
-        if chi:
-            out[mu] = chi * (order // z(mu))
-    return kernels.IntTerms.reduced(out, order)
+    return tuple(_column(mu).get(mask, 0) for mu in partitions_of(n))
+
+
+@functools.cache
+def _s_in_p(lam: tuple) -> kernels.IntTerms:
+    """[p_mu] s_lam = chi^lam(mu) / z(mu), held over n! as chi^lam(mu)
+    times the class size n! / z(mu), from the dense row and class sizes."""
+    n = sum(lam)
+    out = {mu: chi * size
+           for mu, chi, size in zip(partitions_of(n), _char_row(lam), _class_sizes(n))
+           if chi}
+    return kernels.IntTerms.reduced(out, factorial(n))
 
 
 @functools.cache
@@ -283,15 +299,17 @@ def _m_in_p(lam: tuple) -> kernels.IntTerms:
 
 @functools.cache
 def _p_in_m(mu: tuple) -> kernels.IntTerms:
-    """[m_lam] p_mu = z(mu) [p_mu] h_lam, read across the h -> p rows."""
+    """[m_lam] p_mu = z(mu) [p_mu] h_lam, read across the h -> p rows: a
+    non-negative integer (p_mu is a sum of monomials with integer
+    coefficients), so each entry is an exact quotient and the row is over 1."""
     zmu = z(mu)
     out = {}
     for lam in partitions_of(sum(mu)):
         row = _hlam_in_p(lam)
         v = row.nums.get(mu)
         if v:
-            out[lam] = Fraction(v * zmu, row.den)
-    return kernels.IntTerms.of(out)
+            out[lam] = v * zmu // row.den
+    return kernels.IntTerms(out, 1)
 
 
 def clear_caches() -> None:
@@ -304,7 +322,8 @@ def clear_caches() -> None:
     valid, so the call is harmless apart from the recomputation it causes.
     """
     _char_cache.clear()
-    for memo in (_column, _hlam_in_p, _plam_in_h, _s_in_p, _m_in_p, _p_in_m):
+    for memo in (_column, _class_sizes, _char_row, _hlam_in_p, _plam_in_h, _s_in_p,
+                 _m_in_p, _p_in_m):
         memo.cache_clear()
 
 

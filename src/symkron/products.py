@@ -7,17 +7,19 @@ are diagonal:
     <p_lam, p_mu> = z_lam * delta(lam, mu)
     p_lam (x) p_mu = z_lam * delta(lam, mu) * p_lam
 
-So a Kronecker coefficient <s_lam (x) s_mu, s_rho> is one sum over cycle
-types nu of the three Schur coefficients [p_nu] s times z_nu**2.
-``kronecker_coefficient`` reads those coefficients straight from the s -> p
-rows of ``bases`` (``bases._s_in_p``, built from the character columns)
-and sums them with ``kernels.triple_terms``; it builds no product series.
+So a Kronecker coefficient <s_lam (x) s_mu, s_rho> is one class sum,
+sum over cycle types nu of chi^lam(nu) chi^mu(nu) chi^rho(nu) / z_nu
+(Macdonald I.7).  ``kronecker_coefficient`` reads the three dense
+character rows of ``bases`` (``bases._char_row``, built from the
+character columns) and takes one integer dot product with the class sizes
+n! / z_nu, divided by n! once; it builds no series and no ``Fraction``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
+from operator import mul
 
 from symkron import _kernels as kernels
 from symkron import bases
@@ -92,24 +94,41 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
 
 # ----------------------------------------------------- univariate factors
 
-@dataclass(frozen=True)
 class UnivariateFactor:
     """A truncated polynomial in the single power-sum variable p_n.
 
     coeffs[k] multiplies p_n**k, so the term of index k has series degree
     n*k; the truncation order is in k (len(coeffs) - 1), not in degree.
+    Immutable and hashable; equal when n and coeffs are.
     """
 
-    n: int
-    coeffs: tuple
+    __slots__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:  # bool is an int subclass
+    def __init__(self, n: int, coeffs: tuple):
+        if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError("variable index must be a positive integer")
-        coeffs = tuple(map(_exact, self.coeffs))
+        coeffs = tuple(map(_exact, coeffs))
         if not coeffs:
             coeffs = (_ZERO,)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.coeffs) == (other.n, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"UnivariateFactor(n={self.n!r}, coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -171,17 +190,16 @@ def poly_exp(a, order: int) -> list:
 def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
     """Multiplicity of s_rho in s_lam (x) s_mu; a non-negative integer.
 
-    The default route reads the Schur rows of ``to_p``, [p_nu] s_lam =
-    chi^lam(nu) / z_nu, built from the character columns, and pairs the
-    three of them in one sum over the shared cycle types nu
-    (``triple_terms``): the scalar product of s_lam (x) s_mu with s_rho,
-    without building the product.  With oracle=True the value is the
-    independent character sum
+    The value is the class sum
 
-        sum over nu of chi^lam(nu) chi^mu(nu) chi^rho(nu) / z_nu,
+        sum over nu of chi^lam(nu) chi^mu(nu) chi^rho(nu) / z_nu.
 
-    with characters by strip removal (``character``), which share no code
-    with the columns.
+    The default route reads the three dense character rows of ``bases``
+    (``_char_row``, built from the character columns) and the class sizes
+    n! / z_nu (``_class_sizes``), all in ``partitions_of(n)`` order, takes
+    one integer dot product of the four and divides it by n!.  With
+    oracle=True the same sum runs on ``Fraction`` with characters by
+    strip removal (``character``), which share no code with the columns.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -197,8 +215,18 @@ def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
              for nu in partitions_of(n)),
             _ZERO,
         )
-    else:
-        val = kernels.triple_terms(bases._s_in_p(lam), bases._s_in_p(mu), bases._s_in_p(rho))
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral Kronecker coefficient {val} at {lam}, {mu}, {rho}")
-    return int(val)
+        if val.denominator != 1:
+            raise _non_integral(val, lam, mu, rho)
+        return int(val)
+    row = bases._char_row
+    total = sum(map(mul, map(mul, row(lam), row(mu)),
+                    map(mul, row(rho), bases._class_sizes(n))))
+    order = factorial(n)
+    val, rest = divmod(total, order)
+    if rest:
+        raise _non_integral(Fraction(total, order), lam, mu, rho)
+    return val
+
+
+def _non_integral(val: Fraction, lam, mu, rho) -> ArithmeticError:
+    return ArithmeticError(f"non-integral Kronecker coefficient {val} at {lam}, {mu}, {rho}")

@@ -16,9 +16,7 @@ produce the same status and the same first discrepancy, ordered by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from symkron import named
 from symkron.bases import _omega, exp_in_s, from_p
@@ -77,13 +75,37 @@ def expected_product(a, b) -> tuple[NamedSeries, ...]:
     return rhs
 
 
-@dataclass(frozen=True)
 class Discrepancy:
-    """First differing coefficient of a failed comparison."""
+    """First differing coefficient of a failed comparison.  Immutable and
+    hashable; equal when all three fields are."""
 
-    partition: Partition
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ("partition", "lhs", "rhs")
+
+    def __init__(self, partition: Partition, lhs: Fraction, rhs: Fraction):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.partition, self.lhs, self.rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Discrepancy(partition={self.partition!r}, lhs={self.lhs!r}, "
+                f"rhs={self.rhs!r})")
 
     def to_json_dict(self) -> dict:
         return {"partition": list(self.partition),
@@ -91,13 +113,34 @@ class Discrepancy:
                 "rhs": str(self.rhs)}
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    degree: int
-    status: str  # "pass" or "fail"
-    first_discrepancy: Optional[Discrepancy]
-    millis: int
+    """The outcome of one identity check; mutable, so not hashable."""
+
+    __slots__ = ("identity", "degree", "status", "first_discrepancy", "millis")
+
+    def __init__(self, identity: str, degree: int, status: str,
+                 first_discrepancy: Discrepancy | None, millis: int):
+        self.identity = identity
+        self.degree = degree
+        self.status = status  # "pass" or "fail"
+        self.first_discrepancy = first_discrepancy
+        self.millis = millis
+
+    def _fields(self) -> tuple:
+        return (self.identity, self.degree, self.status, self.first_discrepancy,
+                self.millis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"VerificationReport(identity={self.identity!r}, degree={self.degree!r}, "
+                f"status={self.status!r}, first_discrepancy={self.first_discrepancy!r}, "
+                f"millis={self.millis!r})")
 
     def passed(self) -> bool:
         return self.status == "pass"
@@ -113,7 +156,7 @@ class VerificationReport:
         }
 
 
-def first_difference(lhs: SymFunc, rhs: SymFunc) -> Optional[Discrepancy]:
+def first_difference(lhs: SymFunc, rhs: SymFunc) -> Discrepancy | None:
     """First coefficient where the two series differ, scanning partitions in
     (weight, lexicographic) order; None when every coefficient matches.
 
@@ -139,7 +182,7 @@ def first_difference(lhs: SymFunc, rhs: SymFunc) -> Optional[Discrepancy]:
 
 
 def _report(identity: str, degree: int, started: float,
-            disc: Optional[Discrepancy]) -> VerificationReport:
+            disc: Discrepancy | None) -> VerificationReport:
     millis = int(round((time.perf_counter() - started) * 1000))
     status = "pass" if disc is None else "fail"
     return VerificationReport(identity, degree, status, disc, millis)

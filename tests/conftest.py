@@ -3,7 +3,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from symkron.partitions import partitions_of
+from symkron import _kernels as kernels
+from symkron.partitions import partitions_of, z
 from symkron.series import SymFunc
 
 
@@ -58,3 +59,20 @@ def poly_exp_by_horner(a, order: int) -> list:
         result = [c / k for c in poly_mul(a, result, order)]
         result[0] += 1
     return result
+
+
+# ------------------------------------------ Fraction oracles, change of basis
+
+def p_in_m_by_fractions(mu) -> kernels.IntTerms:
+    """[m_lam] p_mu = z(mu) [p_mu] h_lam as one Fraction per entry, brought
+    to the integer form by ``IntTerms.of``: the reference for the integer
+    rows of ``bases._p_in_m``."""
+    from symkron.bases import _hlam_in_p
+
+    out = {}
+    for lam in partitions_of(sum(mu)):
+        row = _hlam_in_p(lam)
+        v = row.nums.get(mu)
+        if v:
+            out[lam] = Fraction(v * z(mu), row.den)
+    return kernels.IntTerms.of(out)

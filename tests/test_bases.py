@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symkron
-from conftest import constant_free_p_series, random_symfunc
+from conftest import constant_free_p_series, p_in_m_by_fractions, random_symfunc
 from symkron import _kernels as kernels
 from symkron.bases import (
     character,
@@ -443,6 +443,28 @@ def test_kronecker_coefficients_weight_seven_match_oracle():
                     kronecker_coefficient(lam, mu, rho, oracle=True), (lam, mu, rho)
 
 
+def test_char_rows_and_class_sizes_are_dense_in_partition_order():
+    for n in range(9):
+        mus = partitions_of(n)
+        sizes = symkron.bases._class_sizes(n)
+        assert type(sizes) is tuple
+        assert sizes == tuple(factorial(n) // z(mu) for mu in mus)
+        for lam in mus:
+            row = symkron.bases._char_row(lam)
+            assert type(row) is tuple
+            assert row == tuple(character(lam, mu) for mu in mus), lam
+
+
+def test_p_to_m_rows_are_integers_equal_to_the_fraction_rows():
+    for n in range(11):
+        for mu in partitions_of(n):
+            row = symkron.bases._p_in_m(mu)
+            assert row.den == 1 and all(type(v) is int and v > 0 for v in row.nums.values())
+            oracle = p_in_m_by_fractions(mu)
+            assert (row.den, row.nums) == (oracle.den, oracle.nums), mu
+            assert list(row.nums) == list(oracle.nums), mu
+
+
 def test_clear_caches_gives_cold_results_equal_to_warm():
     f = expand("SEinv", 9)
 
@@ -452,7 +474,8 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
                 to_p(SymFunc.single("m", (2, 2, 1), 5)),
                 *(to_p(SymFunc.single(b, (3, 2, 1), 7, F(-3, 2))) for b in "shem"),
                 *(from_p(SymFunc.single("p", (3, 1, 1), 5), b) for b in "hem"),
-                character((3, 2, 1), (2, 2, 1, 1)))
+                character((3, 2, 1), (2, 2, 1, 1)),
+                kronecker_coefficient((4, 3, 2), (5, 2, 2), (3, 3, 3)))
 
     warm = results()
     memos = {f"{module.__name__}.{name}": obj
@@ -462,7 +485,8 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
     assert {"symkron.bases._column",
             "symkron.bases._hlam_in_p", "symkron.bases._plam_in_h",
             "symkron.bases._s_in_p", "symkron.bases._m_in_p",
-            "symkron.bases._p_in_m",
+            "symkron.bases._p_in_m", "symkron.bases._char_row",
+            "symkron.bases._class_sizes",
             "symkron.named._expand_cached",
             "symkron.partitions._partition_tuples", "symkron.partitions._partitions",
             "symkron.partitions._z",

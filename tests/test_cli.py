@@ -1,8 +1,12 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symkron
 from symkron.cli import main
 from symkron.series import SymFunc
 
@@ -230,3 +234,15 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Start-up cost: an isolated interpreter without site-packages imports
+    # the package and nothing that pulls in inspect, ast, dis and tokenize.
+    src = str(Path(symkron.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import symkron; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -51,48 +50,6 @@ def test_kron_and_scalar_match_definition(a, b):
     total = kernels.scalar_terms(IntTerms.of(a), IntTerms.of(b))
     assert type(total) is Fraction
     assert total == sum(products.values(), F(0))
-
-
-# Keys of weight <= 4 only, so that three random supports often share keys.
-SMALL_TERM_MAPS = st.dictionaries(
-    st.sampled_from([lam for n in range(5) for lam in partitions_of(n)]),
-    st.fractions(-30, 30, max_denominator=12).filter(bool), max_size=8)
-
-
-@settings(max_examples=100, deadline=None)
-@given(SMALL_TERM_MAPS, SMALL_TERM_MAPS, SMALL_TERM_MAPS)
-@example({}, {}, {})
-# 1/2 * z(1,1)^2 - 1/2 * z(2)^2 = 0: the sum cancels; (2, 1) is not in b
-@example({(1, 1): F(1, 2), (2,): F(-1, 2), (2, 1): F(1, 3)},
-         {(1, 1): F(1), (2,): F(1)}, {(1, 1): F(1), (2,): F(1), (2, 1): F(5)})
-def test_triple_equals_scalar_of_kron(a, b, c):
-    ia, ib, ic = IntTerms.of(a), IntTerms.of(b), IntTerms.of(c)
-    total = kernels.triple_terms(ia, ib, ic)
-    assert type(total) is Fraction
-    assert total == kernels.scalar_terms(kernels.kron_terms(ia, ib), ic)
-    assert total == sum((a[k] * b[k] * c[k] * z(k) ** 2
-                         for k in a.keys() & b.keys() & c.keys()), F(0))
-
-
-@settings(max_examples=50, deadline=None)
-@given(SMALL_TERM_MAPS, SMALL_TERM_MAPS, SMALL_TERM_MAPS)
-def test_triple_is_symmetric(a, b, c):
-    maps = [IntTerms.of(m) for m in (a, b, c)]
-    total = kernels.triple_terms(*maps)
-    for perm in itertools.permutations(maps):
-        assert kernels.triple_terms(*perm) == total
-
-
-def test_triple_without_a_shared_key_is_exact_zero():
-    # every two of the three supports meet, but no key is in all three
-    a = IntTerms.of({Partition((2,)): F(1, 3), Partition((1, 1)): F(4)})
-    b = IntTerms.of({Partition((2,)): F(5), Partition((3,)): F(2, 7)})
-    c = IntTerms.of({Partition((1, 1)): F(7, 2), Partition((3,)): F(-1)})
-    empty = IntTerms.of({})
-    for maps in itertools.permutations((a, b, c)):
-        total = kernels.triple_terms(*maps)
-        assert type(total) is Fraction and total == 0 and total.denominator == 1
-    assert kernels.triple_terms(a, a, empty) == Fraction(0)
 
 
 def mul_by_definition(a: dict, b: dict, limit: int) -> dict:
@@ -309,7 +266,7 @@ def test_key_reads_build_no_fractions(a, b, limit):
         len(t), list(t), [k in t for k in a], (9,) in t
         t.keys() & b.keys(), t.keys() | b.keys()
         kernels.mul_terms(t, t, limit), kernels.kron_terms(t, ib)
-        kernels.scalar_terms(t, ia), kernels.triple_terms(t, ia, ib)
+        kernels.scalar_terms(t, ia)
         t == IntTerms(t.nums, t.den)
         assert t._fractions is None
     for t in results:
@@ -355,6 +312,4 @@ def test_diagonal_kernels_read_z_by_key_type(monkeypatch):
     scalar = sum(diagonal.values(), F(0))
     assert kernels.kron_terms(IntTerms.of(a), IntTerms.of(b)) == diagonal
     assert kernels.scalar_terms(IntTerms.of(a), IntTerms.of(b)) == scalar
-    assert kernels.triple_terms(IntTerms.of(a), IntTerms.of(b), IntTerms.of(b)) == \
-        sum((a[k] * b[k] ** 2 * z(k) ** 2 for k in a.keys() & b.keys()), F(0))
     assert calls == []

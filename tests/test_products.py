@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import symkron
 from conftest import poly_exp_by_horner, poly_mul, random_symfunc
+from symkron import _kernels as kernels
 from symkron.bases import from_p, to_p
 from symkron.partitions import Partition, partitions_of, z
 from symkron.products import (
@@ -337,8 +339,8 @@ def test_default_and_oracle_routes_share_no_character_code(monkeypatch):
         assert not bases._char_cache
         symkron.clear_caches()
         assert [kronecker_coefficient(*t, oracle=True) for t in triples] == default
-        assert bases._column.cache_info().currsize == 0
-        assert bases._s_in_p.cache_info().currsize == 0
+        for memo in (bases._column, bases._s_in_p, bases._char_row, bases._class_sizes):
+            assert memo.cache_info().currsize == 0, memo
 
         # chi^(5,1) on the 6-cycle is -1; raising it by z(6) = 6 moves the
         # default sum by chi^(6)(6)^2 = 1, so g((5,1), (6), (6)) = 0 reads 1
@@ -353,9 +355,48 @@ def test_default_and_oracle_routes_share_no_character_code(monkeypatch):
         symkron.clear_caches()
 
 
-def test_gamma_symmetric_under_permutations():
-    import itertools
+def test_a_non_integral_class_sum_raises_with_its_value(monkeypatch):
+    # Raising chi^(5,1) on the 6-cycle by 1 moves the class sum of
+    # g((5,1), (6), (6)) = 0 by chi^(6)(6)^2 / z(6) = 1/6.
+    bases = symkron.bases
+    lam, one_row = Partition((5, 1)), Partition((6,))
+    symkron.clear_caches()
+    try:
+        column = bases._column((6,))
+        mask = bases._beta_mask(lam, 6)
+        monkeypatch.setitem(column, mask, column[mask] + 1)
+        with pytest.raises(ArithmeticError) as raised:
+            kronecker_coefficient(lam, one_row, one_row)
+        assert str(raised.value) == ("non-integral Kronecker coefficient 1/6 at "
+                                     "Partition(5, 1), Partition(6,), Partition(6,)")
+    finally:
+        monkeypatch.undo()
+        symkron.clear_caches()
 
+
+@st.composite
+def same_weight_triples(draw):
+    """Three partitions of one weight n <= 12."""
+    lams = partitions_of(draw(st.integers(0, 12)))
+    return tuple(draw(st.sampled_from(lams)) for _ in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_weight_triples())
+@example(((5, 1), (6,), (6,)))
+@example(((4, 4, 4), (6, 6), (3, 3, 3, 3)))
+def test_dense_rows_match_the_sparse_kernels(triple):
+    # The dot product over dense character rows against the sparse p-row
+    # kernels: the scalar product of s_lam (x) s_mu with s_rho.
+    rows = [symkron.bases._s_in_p(lam) for lam in triple]
+    expected = kernels.scalar_terms(kernels.kron_terms(rows[0], rows[1]), rows[2])
+    value = kronecker_coefficient(*triple)
+    assert type(value) is int and value == expected
+    for perm in itertools.permutations(triple):
+        assert kronecker_coefficient(*perm) == value
+
+
+def test_gamma_symmetric_under_permutations():
     for n in (3, 4):
         lams = partitions_of(n)
         for lam in lams:
