@@ -59,15 +59,14 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every memo in the package: the named-series expansions, the
-    partition tuples and lists, the memoized ``z``, the kernels'
-    code -> Partition tables, and the conversion tables and character memos
-    of ``symkron.bases``.
+    partition lists, the memoized ``z``, the kernels' code -> Partition
+    tables, and the conversion tables and character memos of
+    ``symkron.bases``.
 
     Lets a cold computation be measured in-process; results do not depend
     on it.
     """
     named._expand_cached.cache_clear()
-    partitions._partition_tuples.cache_clear()
     partitions._partitions.cache_clear()
     partitions._z.cache_clear()
     _kernels._decoded.cache_clear()

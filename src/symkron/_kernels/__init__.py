@@ -2,16 +2,16 @@
 
 A term map is an ``IntTerms``: a read-only ``Mapping`` from ``Partition``
 keys (weakly decreasing integer tuples) to rationals, held as integer
-numerators over one reduced denominator, whose ``fractions.Fraction``
-values are built when first read.  ``IntTerms.of`` brings a map of
-Fractions into that form once.  Each kernel exists once, in Python, reads
-its inputs' ``nums`` and ``den`` and computes on Python ints;
-``mul_terms``, ``exp_terms`` and ``kron_terms`` return an ``IntTerms``,
-so a chain of kernels builds no ``Fraction`` at all; ``scalar_terms``
-builds one, its result.  The kernels trust their inputs' keys to be
-partitions and validate none.  A single Kronecker coefficient does not
-run here: ``products.kronecker_coefficient`` is one dot product of dense
-character rows, with no sparse map to walk.
+numerators over one reduced denominator; a ``fractions.Fraction`` value is
+built only where one is read.  ``IntTerms.of`` brings a map of Fractions
+into that form once.  Each kernel exists once, in Python, reads its
+inputs' ``nums`` and ``den`` and computes on Python ints; ``mul_terms``,
+``exp_terms`` and ``kron_terms`` return an ``IntTerms``, so a chain of
+kernels builds no ``Fraction`` at all; ``scalar_terms`` builds one, its
+result.  The kernels trust their inputs' keys to be partitions and
+validate none.  A single Kronecker coefficient does not run here:
+``products.kronecker_coefficient`` is one dot product of dense character
+rows, with no sparse map to walk.
 
 The two multiplicative kernels share one integer coding of keys.  A key is
 the int sum of 2**((part - 1) * shift) over its parts, with
@@ -46,19 +46,18 @@ class IntTerms(Mapping):
 
     ``nums`` maps each key to a nonzero int and ``den`` is positive, with
     gcd(den, *nums) == 1, so the form is canonical.  ``len``, iteration,
-    ``in`` and ``keys()`` answer from ``nums``; the first read of a value
-    builds the ``Fraction`` map once and keeps it (two racing readers
-    build equal maps, and either is kept).  Two ``IntTerms`` compare by
-    (den, nums); any other mapping compares by value.
+    ``in`` and ``keys()`` answer from ``nums``; reading a value builds its
+    ``Fraction``, and ``items()`` and ``values()`` build the map of them
+    on each call.  Two ``IntTerms`` compare by (den, nums); any other
+    mapping compares by value.
     """
 
-    __slots__ = ("nums", "den", "_fractions")
+    __slots__ = ("nums", "den")
 
     def __init__(self, nums: dict, den: int):
         """Trusted: nums nonzero, den > 0 and the pair already reduced."""
         self.nums = nums
         self.den = den
-        self._fractions = None
 
     @classmethod
     def reduced(cls, nums: dict, den: int) -> "IntTerms":
@@ -79,17 +78,15 @@ class IntTerms(Mapping):
         return cls({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
     def _values(self) -> dict:
-        values = self._fractions
-        if values is None:
-            den = self.den
-            values = self._fractions = {k: Fraction(v, den) for k, v in self.nums.items()}
-        return values
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.nums.items()}
 
     def __getitem__(self, key):
-        return self._values()[key]
+        return Fraction(self.nums[key], self.den)
 
     def get(self, key, default=None):
-        return self._values().get(key, default)
+        v = self.nums.get(key)
+        return default if v is None else Fraction(v, self.den)
 
     def items(self):
         return self._values().items()
@@ -260,17 +257,7 @@ def kron_terms(a: IntTerms, b: IntTerms) -> IntTerms:
 
 
 def scalar_terms(a: IntTerms, b: IntTerms) -> Fraction:
-    """Sum over shared keys of a[k] * b[k] * z(k), as a Fraction.
-
-    The sum runs on the numerators, and only the result is normalised.
-    """
-    if len(b) < len(a):
-        a, b = b, a
-    nb = b.nums
-    total = 0
-    for k, va in a.nums.items():
-        vb = nb.get(k)
-        if vb is not None:
-            total += va * vb * _z(k)
-    return Fraction(total, a.den * b.den)
-
+    """Sum over shared keys of a[k] * b[k] * z(k), as a Fraction: the sum
+    of the numerators of ``kron_terms(a, b)`` over its denominator."""
+    k = kron_terms(a, b)
+    return Fraction(sum(k.nums.values()), k.den)

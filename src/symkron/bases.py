@@ -49,10 +49,8 @@ are safe (a duplicated computation stores the same value twice);
 ``clear_caches`` empties them all.  Every change-of-basis row, like every
 value's ``terms``, is held in the kernels' read-only integer form
 ``IntTerms``.  A conversion reads the numerators and denominator of its
-input and rows and returns the integer form of its sum, except that a
-single term b_lam returns its memo row itself as the result's ``terms``,
-so a row may be shared by any number of values and must never be
-mutated.
+input and rows and returns a new integer form of its sum, so no value
+holds a memo row as its ``terms``.
 """
 
 from __future__ import annotations
@@ -334,18 +332,11 @@ def _change_basis(terms: kernels.IntTerms, table) -> kernels.IntTerms:
     combination of rows, as a change of basis (``to_p``, ``from_p``) or a
     substitution (``products.plethysm``).
 
-    A single term b_lam is its row ``table(lam)`` itself, so the result may
-    be a shared memo row and must never be mutated.  Otherwise the sum runs
-    on the numerators of the input and the rows, and the result is its
-    integer form over the product of the input's denominator and the lcm of
-    the rows'.
+    The sum runs on the numerators of the input and the rows, and the
+    result is a new integer form over the product of the input's
+    denominator and the lcm of the rows', even for a single term.
     """
-    nums = terms.nums
-    if len(nums) == 1 and terms.den == 1:
-        [(lam, v)] = nums.items()
-        if v == 1:
-            return table(lam)
-    rows = [(v, table(lam)) for lam, v in nums.items()]
+    rows = [(v, table(lam)) for lam, v in terms.nums.items()]
     den_rows = lcm(*[row.den for _, row in rows])
     acc: dict[Partition, int] = {}
     get = acc.get

@@ -72,16 +72,17 @@ def partitions_of(n: int) -> list[Partition]:
 
 @lru_cache(maxsize=None)
 def _partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(map(Partition, _partition_tuples(n, n)))
-
-
-@lru_cache(maxsize=None)
-def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of n in ascending order, built from the shorter lists:
+    for each first part, the partitions of n - first whose parts are at
+    most first, a prefix of that ascending list."""
     if n == 0:
-        return ((),)
+        return (Partition(),)
     out = []
-    for first in range(1, min(n, max_part) + 1):
-        out.extend((first,) + rest for rest in _partition_tuples(n - first, first))
+    for first in range(1, n + 1):
+        for rest in _partitions(n - first):
+            if rest and rest[0] > first:
+                break
+            out.append(Partition((first,) + rest))
     return tuple(out)
 
 

@@ -8,16 +8,11 @@ minimum N of its inputs.  Coefficients are ``fractions.Fraction`` values,
 so everything is exact and canonical (lowest terms, positive denominator).
 ``terms`` is always the kernels' read-only integer form
 ``_kernels.IntTerms``: integer numerators over one reduced denominator,
-whose ``Fraction`` values are built when first read.  Kernels,
-comparisons, arithmetic, coefficient reads, ``truncate``,
-``graded_component`` and JSON output and input work on the numerators, so
-a chain of them builds no ``Fraction`` map.
-
-Values are immutable by convention: operations return new objects, and the
-``terms`` map of an existing value must never be mutated.  A result's
-``terms`` may be shared: a single-term conversion in ``bases`` returns a
-memoized change-of-basis row itself, which every later conversion of the
-same term returns again.
+fixed when the value is built and owned by it.  Kernels, comparisons,
+arithmetic, ``truncate``, ``graded_component`` and JSON output and input
+work on the numerators, so a chain of them builds no ``Fraction``; a
+coefficient read builds one.  Values are immutable by convention:
+operations return new values.
 
 Validation happens once, at the boundary.  The public constructor, the
 ``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key
@@ -173,10 +168,8 @@ class SymFunc:
 
     def coefficient(self, lam) -> Fraction:
         """Coefficient of the given partition (0 if absent); lam that is not
-        a ``Partition`` is validated as one first (ValueError otherwise).
-        Builds one ``Fraction``, not the value's whole map."""
-        v = self.terms.nums.get(lam if type(lam) is Partition else Partition(lam))
-        return _ZERO if v is None else Fraction(v, self.terms.den)
+        a ``Partition`` is validated as one first (ValueError otherwise)."""
+        return self.terms.get(lam if type(lam) is Partition else Partition(lam), _ZERO)
 
     @property
     def constant_term(self) -> Fraction:
@@ -341,11 +334,12 @@ class SymFunc:
         Each coefficient is read straight to an integer numerator and
         denominator (one regex match) and checked; the constructor's checks
         (``_checked_terms``) build the integer form from those pairs, so no
-        ``Fraction`` is made."""
+        ``Fraction`` is made.  Every rejection is a ValueError whose message
+        starts with "malformed series JSON:"."""
         try:
             basis = data["basis"]
             degree = data["degree"]
-            items = {}
+            items = []
             for t in data["terms"]:
                 lam = tuple(t["partition"])
                 c = t["coefficient"]
@@ -353,8 +347,6 @@ class SymFunc:
                 if match is None and type(c) is not int:
                     raise TypeError(f"coefficient {c!r} is not an integer or a "
                                     "rational string")
-                if lam in items:
-                    raise ValueError(f"partition {list(lam)} appears twice")
                 if match is None:
                     n, d = c, 1
                 else:
@@ -364,10 +356,11 @@ class SymFunc:
                     g = gcd(n, d)
                     if g != 1:
                         n, d = n // g, d // g
-                items[lam] = n, d
+                items.append((lam, (n, d)))
+            terms = _checked_terms(basis, degree, items)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series JSON: {exc}") from exc
-        return cls._of(basis, _checked_terms(basis, degree, items.items()), degree)
+        return cls._of(basis, terms, degree)
 
     @classmethod
     def from_json(cls, text: str) -> "SymFunc":

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -33,6 +34,24 @@ def constant_free_p_series(draw):
     terms = draw(st.dictionaries(st.sampled_from(keys),
                                  st.fractions(-9, 9, max_denominator=12), max_size=6))
     return SymFunc("p", terms, degree)
+
+
+@contextlib.contextmanager
+def fractions_built():
+    """Count the Fractions built inside the block: yields a list that gets
+    the arguments of every ``Fraction.__new__`` call made there."""
+    built = []
+    real_new = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = real_new
 
 
 # ------------------------------------------ Fraction oracles, univariate

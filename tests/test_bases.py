@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symkron
-from conftest import constant_free_p_series, p_in_m_by_fractions, random_symfunc
+from conftest import (constant_free_p_series, fractions_built, p_in_m_by_fractions,
+                      random_symfunc)
 from symkron import _kernels as kernels
 from symkron.bases import (
     character,
@@ -488,8 +489,7 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
             "symkron.bases._p_in_m", "symkron.bases._char_row",
             "symkron.bases._class_sizes",
             "symkron.named._expand_cached",
-            "symkron.partitions._partition_tuples", "symkron.partitions._partitions",
-            "symkron.partitions._z",
+            "symkron.partitions._partitions", "symkron.partitions._z",
             "symkron._kernels._decoded"} <= memos.keys()
     assert all(memo.cache_info().currsize for memo in memos.values())
     assert symkron.bases._char_cache
@@ -500,27 +500,34 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
     assert results() == warm
 
 
-def test_single_term_conversions_share_rows_and_leave_them_intact():
-    # A single term converts to its memo row itself (scaled copies
-    # otherwise); no operation may write through such a shared row.
+def test_single_term_conversions_copy_rows_and_leave_them_intact():
+    # A single term converts to terms of its own, equal to its memo row but
+    # never that object, so no value holds a row; and no operation may
+    # write through a row.
     lam = Partition((3, 2, 1))
-    memos = [symkron.bases._s_in_p, symkron.bases._hlam_in_p, symkron.bases._m_in_p,
-             symkron.bases._plam_in_h, symkron.bases._p_in_m]
-    keys = [lam, Partition((2,)), Partition((4, 2)), Partition((1,) * 6)]
+    bases = symkron.bases
+    memos = [bases._s_in_p, bases._hlam_in_p, bases._m_in_p, bases._plam_in_h, bases._p_in_m]
+    keys = [lam, Partition((2,)), Partition((4, 2)), Partition((1,) * 6), Partition()]
     snapshot = {(memo, key): dict(memo(key)) for memo in memos for key in keys}
 
-    assert to_p(SymFunc.single("s", lam, 6)).terms is symkron.bases._s_in_p(lam)
-    assert to_p(SymFunc.single("h", lam, 6)).terms is symkron.bases._hlam_in_p(lam)
-    assert to_p(SymFunc.single("m", lam, 6)).terms is symkron.bases._m_in_p(lam)
-    assert from_p(SymFunc.single("p", lam, 6), "h").terms is symkron.bases._plam_in_h(lam)
-    assert from_p(SymFunc.single("p", lam, 6), "m").terms is symkron.bases._p_in_m(lam)
+    for key in keys:
+        for got, row in ((to_p(SymFunc.single("s", key, 6)).terms, bases._s_in_p(key)),
+                         (to_p(SymFunc.single("h", key, 6)).terms, bases._hlam_in_p(key)),
+                         (to_p(SymFunc.single("m", key, 6)).terms, bases._m_in_p(key)),
+                         (from_p(SymFunc.single("p", key, 6), "h").terms, bases._plam_in_h(key)),
+                         (from_p(SymFunc.single("p", key, 6), "m").terms, bases._p_in_m(key))):
+            assert got == row and got is not row
+    # the empty row, as h_() and p_() and as plethysm's empty substitution
+    h2 = to_p(SymFunc.single("h", (2,), 6))
+    for one in (to_p(SymFunc.one("h", 6)), from_p(SymFunc.one("p", 6), "h"),
+                symkron.plethysm(SymFunc.one("p", 6), h2)):
+        assert one.terms == bases._EMPTY_ROW and one.terms is not bases._EMPTY_ROW
 
     assert kronecker_coefficient(lam, lam, lam) == kronecker_coefficient(lam, lam, lam,
                                                                          oracle=True)
     kronecker(SymFunc.single("s", lam, 6), SymFunc.single("m", (4, 2), 6))
     kronecker(SymFunc.single("h", lam, 6), SymFunc.single("e", (1,) * 6, 6))
     scalar_product(SymFunc.single("m", lam, 6), SymFunc.single("h", lam, 6))
-    h2 = to_p(SymFunc.single("h", (2,), 6))
     symkron.plethysm(to_p(SymFunc.single("s", (2,), 6)), h2)
     symkron.plethysm(SymFunc.single("s", (2, 1), 6), h2)
     c = F(-3, 2)
@@ -625,20 +632,11 @@ def test_exp_in_s_boundaries():
         assert exp_in_s(SymFunc.zero("p", degree)) == SymFunc.one("s", degree)
 
 
-def test_exp_in_s_builds_no_fraction(monkeypatch):
+def test_exp_in_s_builds_no_fraction():
     # One input as a Fraction map, one in the integer form.
     inputs = [exponent("SEinv", 12), exponent("Modd", 9),
               SymFunc._of("p", kernels.IntTerms({Partition((2, 1)): -4, Partition((1,)): 3}, 6), 9)]
-    built = []
-    real_new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return real_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    results = [exp_in_s(f) for f in inputs]
-    monkeypatch.undo()
+    with fractions_built() as built:
+        results = [exp_in_s(f) for f in inputs]
     assert built == []
-    assert all(r.terms._fractions is None for r in results)
     assert results[2] == from_p(exp_series(inputs[2]), "s")

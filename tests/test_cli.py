@@ -123,7 +123,7 @@ def test_kron_rejects_what_is_not_a_partition(partition, tmp_path, capsys):
         status, out, err = run(["kron", "--lhs", str(lhs), "--rhs", str(rhs)], capsys)
         assert status == 2
         assert out == ""
-        assert err.startswith("error: parts must be")
+        assert err.startswith("error: malformed series JSON: parts must be")
         assert repr(tuple(partition)) in err
 
 

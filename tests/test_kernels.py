@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symkron
+from conftest import fractions_built
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
 
@@ -196,12 +197,15 @@ def assert_reduced(t: IntTerms) -> None:
 @example({})
 @example({(1,): F(2, 3), (2,): F(-1, 6), (): F(5, 4)})
 def test_int_form_equals_fraction_form_key_by_key(a):
-    t = IntTerms.of(a)
+    with fractions_built() as built:
+        t = IntTerms.of(a)
+    assert built == []
     assert_reduced(t)
-    assert t._fractions is None
     assert set(t) == set(a) and len(t) == len(a)
     for k, c in a.items():
-        assert t[k] == c and type(t[k]) is Fraction
+        with fractions_built() as built:
+            v = t[k]
+        assert len(built) == 1 and v == c and type(v) is Fraction
         assert t.get(k) == c
     assert t.get((99,)) is None and t.get((99,), F(0)) == 0
     assert t == a and a == t
@@ -263,16 +267,20 @@ def test_key_reads_build_no_fractions(a, b, limit):
     for t in results:
         assert_reduced(t)
         assert t.keys() == t.nums.keys()
-        len(t), list(t), [k in t for k in a], (9,) in t
-        t.keys() & b.keys(), t.keys() | b.keys()
-        kernels.mul_terms(t, t, limit), kernels.kron_terms(t, ib)
-        kernels.scalar_terms(t, ia)
-        t == IntTerms(t.nums, t.den)
-        assert t._fractions is None
-    for t in results:
+        with fractions_built() as built:
+            len(t), list(t), [k in t for k in a], (9,) in t
+            t.keys() & b.keys(), t.keys() | b.keys()
+            kernels.mul_terms(t, t, limit), kernels.kron_terms(t, ib)
+            t == IntTerms(t.nums, t.den)
+        assert built == []
+        # the scalar builds one Fraction, its result
+        with fractions_built() as built:
+            kernels.scalar_terms(t, ia)
+        assert len(built) == 1
         if t:
-            t[next(iter(t))]
-            assert t._fractions is not None
+            with fractions_built() as built:
+                t[next(iter(t))]
+            assert len(built) == 1
 
 
 @settings(max_examples=100, deadline=None)

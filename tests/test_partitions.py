@@ -56,6 +56,29 @@ def test_each_partition_exactly_once():
         assert all(p.weight == n for p in ps)
 
 
+def largest_first(n, largest):
+    """Independent enumeration: every partition of n with parts at most
+    largest, in descending order, by recursion on the first part."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in largest_first(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_an_independent_enumeration():
+    # Built cold from the largest weight down, so each list is made from
+    # the shorter ones inside one call.
+    partitions._partitions.cache_clear()
+    for n in range(22, -1, -1):
+        got = partitions_of(n)
+        assert got == list(reversed(list(largest_first(n, n))))
+        assert all(type(lam) is Partition for lam in got)
+        again = partitions_of(n)
+        assert again == got and again is not got
+        assert all(a is b for a, b in zip(again, got))
+
+
 def test_negative_weight_rejected():
     for n in (-1, True, 2.5):  # a bool is an int subclass
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import constant_free_p_series, random_symfunc
+from conftest import constant_free_p_series, fractions_built, random_symfunc
 from symkron import _kernels as kernels
 from symkron.named import exponent
 from symkron.partitions import Partition, partitions_of
@@ -88,15 +88,22 @@ def test_coefficient_reads_partitions_only():
 
 
 def test_coefficient_reads_build_no_fraction_map():
-    # Reading one coefficient builds one Fraction, not the value's map; so
-    # do the constant-term checks of exp_series and plethysm.
+    # Reading a present coefficient builds one Fraction, an absent one
+    # none; the constant-term checks of exp_series and plethysm read f's
+    # absent constant term.
     f = exponent("S", 20)
-    assert f.coefficient((1,)) == 1 and f.coefficient((1, 1)) == F(1, 2)
-    assert f.coefficient((3, 3)) == F(1, 6) and f.coefficient((2,)) == 0
-    assert f.constant_term == 0 and type(f.constant_term) is Fraction
-    assert exp_series(f).constant_term == 1
-    plethysm(SymFunc.single("p", (2,), 4), f.truncate(4))
-    assert f.terms._fractions is None
+    with fractions_built() as built:
+        present = [f.coefficient((1,)), f.coefficient((1, 1)), f.coefficient((3, 3))]
+    assert present == [1, F(1, 2), F(1, 6)] and len(built) == 3
+    with fractions_built() as built:
+        absent = [f.coefficient((2,)), f.constant_term]
+        g = exp_series(f)
+        plethysm(SymFunc.single("p", (2,), 4), f.truncate(4))
+    assert absent == [0, 0] and all(type(c) is Fraction for c in absent)
+    assert built == []
+    with fractions_built() as built:
+        assert g.constant_term == 1
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("lam", [(True,), [1, 2], [0], [2.0], (3, -1), ("1",)])
@@ -332,9 +339,9 @@ def test_malformed_json_rejected():
         SymFunc.from_json("{\"basis\": \"p\"}")
 
 
-def _one_term_json(coefficient, degree=2):
-    return json.dumps({"basis": "p", "degree": degree,
-                       "terms": [{"partition": [2], "coefficient": coefficient}]})
+def _one_term_json(coefficient, degree=2, partition=(2,), basis="p"):
+    return json.dumps({"basis": basis, "degree": degree,
+                       "terms": [{"partition": partition, "coefficient": coefficient}]})
 
 
 def test_json_accepts_integers_and_rational_strings():
@@ -375,12 +382,12 @@ def json_series(draw):
 @example(SymFunc("p", {(): F(-10**30, 7)}, 0))
 @example(SymFunc("m", {(): -12, (12,): F(3, 14), (1,) * 12: 10**50}, 12))
 def test_to_json_is_the_indented_json_of_to_json_dict(f):
-    text = f.to_json()
+    with fractions_built() as built:
+        text = f.to_json()
+        g = SymFunc.from_json(text)
+    assert built == []
     assert text == json.dumps(f.to_json_dict(), indent=2)
-    assert f.terms._fractions is None
-    g = SymFunc.from_json(text)
-    assert g == f and g.terms._fractions is None
-    assert g.to_json() == text
+    assert g == f and g.to_json() == text
 
 
 def test_from_json_matches_the_constructor_on_fractions():
@@ -392,10 +399,12 @@ def test_from_json_matches_the_constructor_on_fractions():
     terms += [{"partition": [9, 9], "coefficient": "0"}, {"partition": [20], "coefficient": "-0/4"},
               {"partition": [7, 1], "coefficient": 0}]
     text = json.dumps({"basis": "h", "degree": 8, "terms": terms})
-    parsed = SymFunc.from_json(text)
+    with fractions_built() as fractions:
+        parsed = SymFunc.from_json(text)
+    assert fractions == []
     built = SymFunc("h", {tuple(t["partition"]): Fraction(t["coefficient"]) for t in terms}, 8)
     assert (parsed.terms.den, parsed.terms.nums) == (built.terms.den, built.terms.nums)
-    assert parsed.terms.den == 2 and parsed.terms._fractions is None
+    assert parsed.terms.den == 2
     for c in ("1/-2", "--1", "1/", "/2", ""):
         with pytest.raises(ValueError):
             Fraction(c)
@@ -410,6 +419,28 @@ def test_json_rejects_repeated_partitions():
         SymFunc.from_json(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    (_one_term_json(1, 3, [1, 2]), "parts must be weakly decreasing: (1, 2)"),
+    (_one_term_json(1, 3, [0]), "parts must be positive integers: (0,)"),
+    (_one_term_json(1, 3, "1"), "parts must be positive integers"),
+    (_one_term_json(1, 3, 3), "'int' object is not iterable"),
+    (json.dumps({"basis": "p", "degree": 3, "terms": [
+        {"partition": [2, 1], "coefficient": 1}] * 2}), "partition [2, 1] appears twice"),
+    (_one_term_json(1, basis="q"), "unknown basis 'q'"),
+    (_one_term_json(1, -1), "truncation degree must be a non-negative integer: -1"),
+    (_one_term_json(1, "3"), "truncation degree must be a non-negative integer: '3'"),
+    (_one_term_json(1, 1), "term Partition(2,) exceeds truncation degree 1"),
+    ('{"basis": "p", "degree": 3}', "'terms'"),
+    ("[1,", "Expecting value"),
+], ids=["increasing", "zero-part", "string", "not-a-list", "twice", "basis",
+        "negative-degree", "string-degree", "above-degree", "no-terms", "cut-short"])
+def test_json_rejections_carry_one_prefix(text, message):
+    with pytest.raises(ValueError) as info:
+        SymFunc.from_json(text)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"malformed series JSON: {message}")
+
+
 @settings(max_examples=100, deadline=None)
 @given(constant_free_p_series(), st.integers(0, 10), st.fractions(-9, 9, max_denominator=12))
 @example(SymFunc("p", {(1,): F(1, 2), (2,): F(1, 3), (3,): F(1, 6)}, 3), 2, F(0))
@@ -419,16 +450,18 @@ def test_truncate_and_graded_component_stay_on_numerators(f, d, constant):
     # integer result keeps fewer terms, so it must divide out their gcd.
     if constant:
         f = SymFunc("p", {**f.terms, (): constant}, f.degree)
-    # the Fraction map, built by hand so that f's own map stays unbuilt
-    fractions = {k: F(v, f.terms.den) for k, v in f.terms.nums.items()}
+    fractions = dict(f.terms.items())
     d = min(d, f.degree)
+    with fractions_built() as built:
+        truncated, graded = f.truncate(d), f.graded_component(d)
+    assert built == []
     for got, want in (
-            (f.truncate(d),
+            (truncated,
              SymFunc("p", {k: c for k, c in fractions.items() if k.weight <= d}, d)),
-            (f.graded_component(d),
+            (graded,
              SymFunc("p", {k: c for k, c in fractions.items() if k.weight == d}, f.degree))):
         terms = got.terms
-        assert type(terms) is kernels.IntTerms and terms._fractions is None
+        assert type(terms) is kernels.IntTerms
         assert all(type(k) is Partition for k in terms.nums)
         assert terms.den > 0 and all(terms.nums.values())
         assert math.gcd(terms.den, *terms.nums.values()) == 1

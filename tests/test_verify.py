@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import symkron
-from conftest import poly_mul
+from conftest import fractions_built, poly_mul
 from symkron import named
 from symkron._kernels import IntTerms
 from symkron.bases import _omega, character, from_p
@@ -354,17 +354,23 @@ def test_run_suite_all_pass():
 
 def test_table_reads_no_coefficient_of_the_expansions():
     # The table runs on the kernels' integer form: expansion, products,
-    # Kronecker products and comparison all read numerators, so no
-    # expansion's Fraction values are ever built.
+    # Kronecker products and comparison all read numerators, so only the
+    # exponents are built from Fractions.
     symkron.clear_caches()
+    exponents = [named.exponent(tag, 16) for tag in named.TAGS]
+    with fractions_built() as built:
+        expansions = [exp_series(f) for f in exponents]
+    assert built == []
     assert all(r.passed() for r in run_suite(16, "table"))
     info = named._expand_cached.cache_info()
     assert info.currsize == len(named.TAGS)
-    expansions = [named.expand(tag, 16) for tag in named.TAGS]
+    assert [named.expand(tag, 16) for tag in named.TAGS] == expansions
     assert named._expand_cached.cache_info().hits == info.hits + len(named.TAGS)
-    for f in expansions:
-        assert type(f.terms) is IntTerms
-        assert f.terms._fractions is None
+    assert all(type(f.terms) is IntTerms for f in expansions)
+    # with the expansions held, the table itself builds no Fraction
+    with fractions_built() as built:
+        assert all(r.passed() for r in run_suite(16, "table"))
+    assert built == []
 
 
 def test_run_suite_targets_partition_the_whole_suite():
