@@ -20,12 +20,16 @@ holds that part's multiplicity, so merging two keys is adding their codes.
 Every key they code or produce weighs at most ``limit``, so no multiplicity
 (at most ``limit``) overflows its field.  They run one pair loop,
 ``_pair_sums``, on weight slices of coded rows, and the output codes are
-decoded at the end.  A code stands for the same partition under every
-limit of its width, so each code is decoded once per process and width
-(and not validated: decoding yields positive, decreasing parts by
-construction): ``_decoded(shift)`` keeps the ``Partition`` of every code
-decoded at that width, and every result shares that one key object per
-partition.  Input keys never enter the table.
+decoded at the end; only the part sizes the inputs contain get a code.
+``exp_terms`` runs the Euler recurrence through ``_exp_slices``, the one
+driver of that recurrence, which ``bases.exp_in_s`` also runs on Schur
+vectors with its own product of slices.  A code stands for the same
+partition under every limit of its width, so each code is decoded once
+per process and width (and not validated: decoding yields positive,
+decreasing parts by construction): ``_decoded(shift)`` keeps the
+``Partition`` of every code decoded at that width, and every result
+shares that one key object per partition.  Input keys never enter the
+table.
 """
 
 import functools
@@ -119,14 +123,20 @@ class IntTerms(Mapping):
         return f"IntTerms({self.nums!r}, den={self.den})"
 
 
-def _units(limit: int) -> tuple[int, list]:
+def _units(limit: int, *maps: IntTerms) -> tuple[int, dict]:
     """The field width for keys of weight <= limit, and the code of each
-    single part 1..limit (index 0 is unused)."""
+    part size up to limit that a key of the maps contains.  Only those: the
+    code of part p holds (p - 1) * width bits, so coding every size up to
+    limit would cost O(limit**2) bits whatever the keys, and every key a
+    kernel codes or produces is made of input parts."""
     shift = limit.bit_length()
-    return shift, [0] + [1 << ((part - 1) * shift) for part in range(1, limit + 1)]
+    parts: set = set()
+    for m in maps:
+        parts.update(*m.nums)
+    return shift, {p: 1 << ((p - 1) * shift) for p in parts if p <= limit}
 
 
-def _slices(terms: IntTerms, limit: int, unit: list) -> dict:
+def _slices(terms: IntTerms, limit: int, unit: dict) -> dict:
     """{weight: [(code, numerator), ...]} for every key of weight <= limit."""
     slices: dict = {}
     for k, v in terms.nums.items():
@@ -188,7 +198,7 @@ def mul_terms(a: IntTerms, b: IntTerms, limit: int) -> IntTerms:
     Keys above the limit are dropped before coding; each pair of weight
     slices whose weights add up to at most the limit runs the pair loop.
     """
-    shift, unit = _units(limit)
+    shift, unit = _units(limit, a, b)
     slices_a = _slices(a, limit, unit)
     slices_b = _slices(b, limit, unit)
     acc: dict = {}
@@ -201,24 +211,26 @@ def mul_terms(a: IntTerms, b: IntTerms, limit: int) -> IntTerms:
     return IntTerms.reduced(out, a.den * b.den)
 
 
-def exp_terms(terms: IntTerms, limit: int) -> IntTerms:
-    """exp of a constant-free multiplicative-basis term map, truncated at
-    weight ``limit``.
+def _exp_slices(slices: dict, den: int, limit: int, act) -> tuple[int, list]:
+    """The weight slices of g = exp(f), to weight ``limit``, in the caller's
+    coordinates: the one Euler recurrence of ``exp_terms`` and
+    ``bases.exp_in_s``.
 
-    Built weight by weight with the Euler (degree-operator) recurrence: with
-    f_j and g_j the weight-j slices of f and of g = exp(f), g_0 = 1 and
+    ``slices`` maps each weight j to the rows (key, numerator) of f_j, all
+    over ``den``; weight 0 is skipped.  ``act(acc, rows, g_rest)`` adds
+    the product of two lists of rows into the dict ``acc``, with key 0 for
+    the empty partition.  With g_0 = 1, the recurrence is
 
         k g_k = sum_{j=1..k} j f_j g_{k-j}.
 
-    Every g_k stays coded, as integer numerators over one denominator of its
-    own, reduced by the gcd of the slice.  The result is every slice over
-    the lcm of their denominators, and it is reduced already: a prime that
-    divided that lcm and every numerator would divide the slice of highest
-    order in that prime, numerators and denominator alike.
+    Every g_k is held as rows over one denominator of its own, reduced by
+    the gcd of the slice.  Returns the lcm D of those denominators and each
+    slice's rows with the factor that puts them over D.  g over D is
+    reduced already: a prime that divided D and every numerator would
+    divide the slice of highest order in that prime, numerators and
+    denominator alike.
     """
-    shift, unit = _units(limit)
-    slices = _slices(terms, limit, unit)
-    jf = {j: [(code, j * v) for code, v in rows] for j, rows in sorted(slices.items()) if j}
+    jf = {j: [(key, j * v) for key, v in rows] for j, rows in sorted(slices.items()) if j}
     g: list[list] = [[(0, 1)]]
     dens = [1]
     for k in range(1, limit + 1):
@@ -229,16 +241,25 @@ def exp_terms(terms: IntTerms, limit: int) -> IntTerms:
         for rows, g_rest, d in parts:
             scale = common // d
             if scale != 1:
-                rows = [(code, v * scale) for code, v in rows]
-            _pair_sums(acc, rows, g_rest)
-        den = terms.den * common * k
-        cut = gcd(den, *acc.values())
-        g.append([(code, v // cut) for code, v in acc.items() if v])
-        dens.append(den // cut)
-    den = lcm(*dens)
+                rows = [(key, v * scale) for key, v in rows]
+            act(acc, rows, g_rest)
+        d = den * common * k
+        cut = gcd(d, *acc.values())
+        g.append([(key, v // cut) for key, v in acc.items() if v])
+        dens.append(d // cut)
+    whole = lcm(*dens)
+    return whole, [(rows, whole // d) for rows, d in zip(g, dens)]
+
+
+def exp_terms(terms: IntTerms, limit: int) -> IntTerms:
+    """exp of a constant-free multiplicative-basis term map, truncated at
+    weight ``limit``: ``_exp_slices`` on coded keys, with ``_pair_sums`` as
+    the product of two slices, and every code decoded at the end."""
+    shift, unit = _units(limit, terms)
+    den, slices = _exp_slices(_slices(terms, limit, unit), terms.den, limit, _pair_sums)
     out: dict = {}
-    for rows, d in zip(g, dens):
-        _decode_into(out, rows, shift, den // d)
+    for rows, scale in slices:
+        _decode_into(out, rows, shift, scale)
     return IntTerms(out, den)
 
 

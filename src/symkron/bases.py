@@ -34,8 +34,9 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   default ``kronecker_coefficient`` is one dot product of three rows with
   the class sizes.  Both rest on the columns and not on ``character``.
   ``exp_in_s`` adds the same strips to build exp(f) in s straight from a
-  p-basis exponent f, by the Euler recurrence of ``exp_series`` on Schur
-  vectors, so a series given by a short exponent is never expanded in p.
+  p-basis exponent f, by the one driver of the Euler recurrence,
+  ``_kernels._exp_slices``, on Schur vectors, so a series given by a short
+  exponent is never expanded in p.
   It and ``from_p`` of the p-expansion are two routes to the same
   result; the support report runs both;
 * ``character`` / ``character_table`` strip border strips from one row
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
@@ -157,10 +158,10 @@ def _mask_partition(mask: int) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
-def _add_strips(vec: dict[int, int], t: int, acc: dict[int, int]) -> None:
-    """acc += p_t * vec over s, both keyed by beta mask: each partition in
-    vec grows by every border strip of size t, with the Murnaghan-Nakayama
-    sign.
+def _add_strips(vec, t: int, acc: dict[int, int]) -> None:
+    """acc += p_t * vec over s, keyed by beta mask, with vec given as
+    (mask, value) pairs: each partition in vec grows by every border strip
+    of size t, with the Murnaghan-Nakayama sign.
 
     A partition of weight w is held as w beads and lifted to w + t beads
     before its strips are added, so the bead count is the weight and the
@@ -169,7 +170,7 @@ def _add_strips(vec: dict[int, int], t: int, acc: dict[int, int]) -> None:
     fill = (1 << t) - 1
     between = (1 << (t - 1)) - 1
     get = acc.get
-    for tail, chi in vec.items():
+    for tail, chi in vec:
         mask = (tail << t) | fill
         free = mask & ~(mask >> t)
         while free:
@@ -194,7 +195,7 @@ def _column(mu: tuple) -> dict[int, int]:
     if not mu:
         return {0: 1}
     acc: dict[int, int] = {}
-    _add_strips(_column(mu[1:]), mu[0], acc)
+    _add_strips(_column(mu[1:]).items(), mu[0], acc)
     return {k: v for k, v in acc.items() if v}
 
 
@@ -213,7 +214,7 @@ def _horner(terms: dict[tuple, int]) -> dict[int, int]:
         else:
             out[0] = c
     for t, group in groups.items():
-        _add_strips(_horner(group), t, out)
+        _add_strips(_horner(group).items(), t, out)
     return out
 
 
@@ -388,56 +389,41 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
     return SymFunc._of(target, _change_basis(terms, _FROM_P[target]), f.degree)
 
 
+def _p_times(acc: dict[int, int], rows: list, vec) -> None:
+    """acc += sum over the rows (mu, v) of v p_mu * vec, over s keyed by
+    beta mask, with vec given as (mask, value) pairs: one ``_add_strips``
+    per part of mu."""
+    for mu, v in rows:
+        grown = vec if v == 1 else [(mask, v * c) for mask, c in vec]
+        for t in mu[1:]:
+            step: dict[int, int] = {}
+            _add_strips(grown, t, step)
+            grown = step.items()
+        _add_strips(grown, mu[0], acc)
+
+
 def exp_in_s(f: SymFunc) -> SymFunc:
     """exp of a constant-free p-basis series, as an s-basis series truncated
     at the same degree.
 
-    The Euler recurrence of ``kernels.exp_terms``, with f_j and g_j the
-    weight-j slices of f and of g = exp(f), g_0 = 1 and
-
-        k g_k = sum_{j=1..k} j f_j g_{k-j},
-
-    run in Schur coordinates: each g_k is a vector keyed by beta mask, and
-    a term c p_mu of j f_j acts on g_{k-j} by one ``_add_strips`` per part
-    of mu.  Every g_k is held as integer numerators over one denominator of
-    its own, reduced by the gcd of the slice, so the result over the lcm of
-    the slice denominators is reduced as ``exp_terms``' is.  An exponent
+    The Euler recurrence of ``kernels._exp_slices``, which ``exp_series``
+    runs on coded p keys, here run in Schur coordinates: each slice of
+    exp(f) is a vector keyed by beta mask, and a term c p_mu of f acts on
+    it by one ``_add_strips`` per part of mu (``_p_times``).  An exponent
     with a few terms, as the named series have, never expands exp(f) in p.
     """
     if f.basis != "p":
         raise BasisError("exp_in_s expects a p-basis input")
-    nums, den_f = f.terms.nums, f.terms.den
+    nums = f.terms.nums
     if nums.get(()):
         raise ValueError("exp_in_s needs a zero constant term")
-    jf: dict[int, list] = {}
+    slices: dict[int, list] = {}
     for mu, v in nums.items():
-        j = sum(mu)
-        jf.setdefault(j, []).append((mu, j * v))
-    g: list[dict] = [{0: 1}]
-    dens = [1]
-    for k in range(1, f.degree + 1):
-        parts = [(terms, g[k - j], dens[k - j]) for j, terms in jf.items()
-                 if j <= k and g[k - j]]
-        common = lcm(*[d for _, _, d in parts])
-        acc: dict[int, int] = {}
-        for terms, g_rest, d in parts:
-            scale = common // d
-            for mu, v in terms:
-                v *= scale
-                vec = g_rest if v == 1 else {m: v * c for m, c in g_rest.items()}
-                for t in mu[1:]:
-                    grown: dict[int, int] = {}
-                    _add_strips(vec, t, grown)
-                    vec = grown
-                _add_strips(vec, mu[0], acc)
-        den = den_f * common * k
-        cut = gcd(den, *acc.values())
-        g.append({m: v // cut for m, v in acc.items() if v})
-        dens.append(den // cut)
-    den = lcm(*dens)
+        slices.setdefault(sum(mu), []).append((mu, v))
+    den, g = kernels._exp_slices(slices, f.terms.den, f.degree, _p_times)
     return SymFunc._of("s", kernels.IntTerms(
-        {_mask_partition(mask): v * (den // d) for vec, d in zip(g, dens)
-         for mask, v in vec.items()}, den), f.degree)
+        {_mask_partition(mask): v * scale for rows, scale in g for mask, v in rows}, den),
+        f.degree)
 
 
 # ------------------------------------------------------------- Gram-Schmidt

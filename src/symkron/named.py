@@ -31,7 +31,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 
-from symkron.series import SymFunc, exp_series
+from symkron.series import SymFunc, _Value, exp_series
 from symkron.products import UnivariateFactor, kron_factor, poly_exp
 
 _ZERO = Fraction(0)
@@ -140,24 +140,19 @@ def expand(tag, degree: int) -> SymFunc:
     return _expand_cached(NamedSeries.from_tag(tag), degree)
 
 
-class FactorizedSeries:
+class FactorizedSeries(_Value):
     """A series as a product over n of univariate factors in p_n.
 
     ``factors`` maps the variable index n to its UnivariateFactor; an
     absent index means the factor is the constant 1.  Re-expanding the
-    product and truncating reproduces expand(tag, degree) exactly.
+    product and truncating reproduces expand(tag, degree) exactly.  Equal
+    when both fields are; the dict of factors makes it unhashable.
     """
 
     __slots__ = ("degree", "factors")
 
     def __init__(self, degree: int, factors: dict):
-        self.degree = degree
-        self.factors = dict(factors)
-
-    def __eq__(self, other):
-        if not isinstance(other, FactorizedSeries):
-            return NotImplemented
-        return self.degree == other.degree and self.factors == other.factors
+        _Value.__init__(self, degree, dict(factors))
 
     __hash__ = None
 

@@ -74,7 +74,9 @@ def partitions_of(n: int) -> list[Partition]:
 def _partitions(n: int) -> tuple[Partition, ...]:
     """The partitions of n in ascending order, built from the shorter lists:
     for each first part, the partitions of n - first whose parts are at
-    most first, a prefix of that ascending list."""
+    most first, a prefix of that ascending list.  Each key is positive and
+    weakly decreasing by construction, so it is built without
+    re-validating its parts."""
     if n == 0:
         return (Partition(),)
     out = []
@@ -82,7 +84,7 @@ def _partitions(n: int) -> tuple[Partition, ...]:
         for rest in _partitions(n - first):
             if rest and rest[0] > first:
                 break
-            out.append(Partition((first,) + rest))
+            out.append(tuple.__new__(Partition, (first,) + rest))
     return tuple(out)
 
 

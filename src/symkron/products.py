@@ -24,7 +24,7 @@ from operator import mul
 from symkron import _kernels as kernels
 from symkron import bases
 from symkron.partitions import Partition, partitions_of, z
-from symkron.series import BasisError, SymFunc, _exact, _select
+from symkron.series import BasisError, SymFunc, _exact, _select, _Value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,7 +94,7 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
 
 # ----------------------------------------------------- univariate factors
 
-class UnivariateFactor:
+class UnivariateFactor(_Value):
     """A truncated polynomial in the single power-sum variable p_n.
 
     coeffs[k] multiplies p_n**k, so the term of index k has series degree
@@ -108,27 +108,7 @@ class UnivariateFactor:
         if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError("variable index must be a positive integer")
         coeffs = tuple(map(_exact, coeffs))
-        if not coeffs:
-            coeffs = (_ZERO,)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.coeffs) == (other.n, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"UnivariateFactor(n={self.n!r}, coeffs={self.coeffs!r})"
+        _Value.__init__(self, n, coeffs or (_ZERO,))
 
     @property
     def order(self) -> int:
@@ -158,11 +138,9 @@ def kron_factor(a: UnivariateFactor, b: UnivariateFactor) -> UnivariateFactor:
     if a.n != b.n:
         raise ValueError(f"factors live in different variables: p_{a.n} vs p_{b.n}")
     order = min(a.order, b.order)
-    coeffs = tuple(
-        a.coeffs[k] * b.coeffs[k] * z((a.n,) * k)
-        for k in range(order + 1)
-    )
-    return UnivariateFactor(a.n, coeffs)
+    n = a.n
+    return UnivariateFactor(n, tuple(a.coeffs[k] * b.coeffs[k] * n ** k * factorial(k)
+                                     for k in range(order + 1)))
 
 
 def poly_exp(a, order: int) -> list:

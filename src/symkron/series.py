@@ -28,6 +28,11 @@ Operations on values that meet it build their results through the
 trusted ``_of``, which only assigns fields; so every producer of terms
 (the kernels and the conversion tables included) emits that form itself.
 
+The small value classes of the package (``Discrepancy``,
+``VerificationReport``, ``UnivariateFactor``, ``FactorizedSeries``) share
+one private base, ``_Value``, which derives their equality, hash, repr and
+read-only fields from ``__slots__``.
+
 JSON output is one sorted list of (partition, canonical coefficient
 string) pairs, each string made from a numerator with one gcd.
 ``to_json_dict`` wraps those pairs in dicts, and ``to_json`` writes them
@@ -121,6 +126,40 @@ def _select(terms: IntTerms, keep) -> IntTerms:
 def term_order(lam) -> tuple:
     """Sort key for term listings: weight first, then lexicographic."""
     return (sum(lam), tuple(lam))
+
+
+class _Value:
+    """The base of the value classes: the fields are the subclass's
+    ``__slots__``, set once by ``__init__`` in that order and read-only
+    after; equality is class-exact over the fields, the hash is theirs, and
+    the repr is ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class SymFunc:
@@ -379,9 +418,9 @@ def exp_series(f: SymFunc) -> SymFunc:
     Built weight by weight with the Euler (degree-operator) recurrence
     k g_k = sum_{j=1..k} j f_j g_{k-j} from g_0 = 1, where f_j and g_j are
     the weight-j slices of f and of g = exp(f).  The kernel ``exp_terms``
-    runs it on integer-coded keys and numerators, decodes each result key
-    once and returns the integer form: no coefficient becomes a
-    ``Fraction`` until it is read.
+    runs it (``_kernels._exp_slices``) on integer-coded keys and
+    numerators, decodes each result key once and returns the integer form:
+    no coefficient becomes a ``Fraction`` until it is read.
     """
     if f.basis != "p":
         raise BasisError("exp_series expects the p basis")

@@ -23,7 +23,7 @@ from symkron.bases import _omega, exp_in_s, from_p
 from symkron.named import NamedSeries
 from symkron.partitions import Partition, partitions_of
 from symkron.products import kron_factor, kronecker
-from symkron.series import BasisError, SymFunc, term_order
+from symkron.series import BasisError, SymFunc, _Value, term_order
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -75,37 +75,14 @@ def expected_product(a, b) -> tuple[NamedSeries, ...]:
     return rhs
 
 
-class Discrepancy:
+class Discrepancy(_Value):
     """First differing coefficient of a failed comparison.  Immutable and
     hashable; equal when all three fields are."""
 
     __slots__ = ("partition", "lhs", "rhs")
 
     def __init__(self, partition: Partition, lhs: Fraction, rhs: Fraction):
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.partition, self.lhs, self.rhs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"Discrepancy(partition={self.partition!r}, lhs={self.lhs!r}, "
-                f"rhs={self.rhs!r})")
+        _Value.__init__(self, partition, lhs, rhs)
 
     def to_json_dict(self) -> dict:
         return {"partition": list(self.partition),
@@ -113,34 +90,15 @@ class Discrepancy:
                 "rhs": str(self.rhs)}
 
 
-class VerificationReport:
-    """The outcome of one identity check; mutable, so not hashable."""
+class VerificationReport(_Value):
+    """The outcome of one identity check.  Immutable and hashable; equal
+    when all five fields are.  ``status`` is "pass" or "fail"."""
 
     __slots__ = ("identity", "degree", "status", "first_discrepancy", "millis")
 
     def __init__(self, identity: str, degree: int, status: str,
                  first_discrepancy: Discrepancy | None, millis: int):
-        self.identity = identity
-        self.degree = degree
-        self.status = status  # "pass" or "fail"
-        self.first_discrepancy = first_discrepancy
-        self.millis = millis
-
-    def _fields(self) -> tuple:
-        return (self.identity, self.degree, self.status, self.first_discrepancy,
-                self.millis)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"VerificationReport(identity={self.identity!r}, degree={self.degree!r}, "
-                f"status={self.status!r}, first_discrepancy={self.first_discrepancy!r}, "
-                f"millis={self.millis!r})")
+        _Value.__init__(self, identity, degree, status, first_discrepancy, millis)
 
     def passed(self) -> bool:
         return self.status == "pass"

@@ -54,6 +54,32 @@ def fractions_built():
         Fraction.__new__ = real_new
 
 
+# ------------------------------------------ Fraction oracles, multivariate
+
+def mul_by_definition(a: dict, b: dict, limit: int) -> dict:
+    """The distributive product: a Fraction sum over all pairs, each key
+    merged by sorting its parts."""
+    acc: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if sum(ka) + sum(kb) <= limit:
+                key = tuple(sorted(ka + kb, reverse=True))
+                acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    return {k: c for k, c in acc.items() if c}
+
+
+def exp_by_definition(a: dict, limit: int) -> dict:
+    """The sum of a**k / k! over k <= limit, through mul_by_definition; a
+    constant-free a has no key of weight 0, so higher powers vanish."""
+    total = {(): Fraction(1)}
+    power = {(): Fraction(1)}
+    for k in range(1, limit + 1):
+        power = {key: c / k for key, c in mul_by_definition(power, a, limit).items()}
+        for key, c in power.items():
+            total[key] = total.get(key, Fraction(0)) + c
+    return {k: c for k, c in total.items() if c}
+
+
 # ------------------------------------------ Fraction oracles, univariate
 
 def poly_mul(a, b, order: int) -> list:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symkron
-from conftest import (constant_free_p_series, fractions_built, p_in_m_by_fractions,
-                      random_symfunc)
+from conftest import (constant_free_p_series, exp_by_definition, fractions_built,
+                      p_in_m_by_fractions, random_symfunc)
 from symkron import _kernels as kernels
 from symkron.bases import (
     character,
@@ -617,6 +617,17 @@ def test_exp_in_s_matches_from_p_of_exp_series(f):
     want = from_p(exp_series(f), "s")
     assert (got.terms.den, got.terms.nums) == (want.terms.den, want.terms.nums)
     assert gcd(got.terms.den, *got.terms.nums.values()) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_free_p_series())
+@example(SymFunc("p", {(1,): F(1, 2), (2,): F(-1, 3), (2, 1): F(1, 6)}, 8))
+def test_exp_in_s_matches_the_oracle_of_the_definition(f):
+    # exp as the sum of f**k / k! on Fraction maps, then to s by
+    # ``character``: this route shares neither the Euler recurrence nor
+    # ``_add_strips`` with exp_in_s.
+    g = SymFunc("p", exp_by_definition(dict(f.terms.items()), f.degree), f.degree)
+    assert exp_in_s(f) == s_expansion_by_oracle(g)
 
 
 def test_exp_in_s_boundaries():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symkron
-from conftest import fractions_built
+from conftest import exp_by_definition, fractions_built, mul_by_definition
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
+from symkron.series import SymFunc
 
 F = Fraction
 IntTerms = kernels.IntTerms
@@ -53,18 +55,6 @@ def test_kron_and_scalar_match_definition(a, b):
     assert total == sum(products.values(), F(0))
 
 
-def mul_by_definition(a: dict, b: dict, limit: int) -> dict:
-    """The distributive product: a Fraction sum over all pairs, each key
-    merged by sorting its parts."""
-    acc: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            if sum(ka) + sum(kb) <= limit:
-                key = tuple(sorted(ka + kb, reverse=True))
-                acc[key] = acc.get(key, F(0)) + ca * cb
-    return {k: c for k, c in acc.items() if c}
-
-
 @settings(max_examples=200, deadline=None)
 @given(TERM_MAPS, TERM_MAPS, st.integers(0, 10))
 @example({(): F(1)}, {(): F(-2, 3), (1,): F(1)}, 0)
@@ -85,18 +75,6 @@ def test_mul_matches_definition(a, b, limit):
     product = kernels.mul_terms(IntTerms.of(a), IntTerms.of(b), limit)
     assert product == mul_by_definition(a, b, limit)
     assert all(type(c) is Fraction for c in product.values())
-
-
-def exp_by_definition(a: dict, limit: int) -> dict:
-    """The sum of a**k / k! over k <= limit, through mul_by_definition; a
-    constant-free a has no key of weight 0, so higher powers vanish."""
-    total = {(): F(1)}
-    power = {(): F(1)}
-    for k in range(1, limit + 1):
-        power = {key: c / k for key, c in mul_by_definition(power, a, limit).items()}
-        for key, c in power.items():
-            total[key] = total.get(key, F(0)) + c
-    return {k: c for k, c in total.items() if c}
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,13 +99,35 @@ def test_both_decoders_give_back_every_partition():
     # independently computed code or mask.
     from symkron.bases import _beta_mask, _mask_partition
     limit = 14
-    shift, _ = kernels._units(limit)
+    shift = limit.bit_length()
     for n in range(limit + 1):
         for lam in partitions_of(n):
             code = sum(1 << ((part - 1) * shift) for part in lam)
             for decoded in (kernels._decode(code, shift), _mask_partition(_beta_mask(lam, n))):
                 assert type(decoded) is Partition
                 assert decoded == lam and Partition(decoded) == decoded
+
+
+def test_units_code_only_the_part_sizes_of_the_inputs():
+    # Part 12 is above the limit: its key is dropped before coding.
+    a = IntTerms.of({(3, 1): F(1), (1,): F(2)})
+    b = IntTerms.of({(12,): F(1), (): F(1)})
+    assert kernels._units(10, a, b) == (4, {1: 1, 3: 1 << 8})
+    assert kernels._units(10) == (4, {})
+
+
+def test_square_of_p1_at_degree_8000_stays_small():
+    # A code for every part size up to the degree would hold O(d**2) bits,
+    # tens of MiB at d = 8000; the inputs contain one part size.
+    f = SymFunc("p", {(1,): 1}, 8000)
+    tracemalloc.start()
+    try:
+        square = f * f
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert square == SymFunc("p", {(1, 1): 1}, 8000)
+    assert peak < 1 << 20
 
 
 # Plain-tuple keys: the kernels read only the parts of a key, whatever its type.

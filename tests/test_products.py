@@ -234,6 +234,16 @@ def test_kron_factor_annihilates_against_constant():
     assert kron_factor(a, b).coeffs == (F(7),)
 
 
+def test_kron_factor_weighs_by_n_power_k_factorial_without_the_z_memo():
+    # z(n^k) = n**k * k! is computed, not read from the memo of z, which
+    # would otherwise gain one key per k up to the order.
+    symkron.clear_caches()
+    ones = UnivariateFactor(2, (1,) * 201)
+    product = kron_factor(ones, ones)
+    assert symkron.partitions._z.cache_info().currsize == 0
+    assert product.coeffs == tuple(F(z((2,) * k)) for k in range(201))
+
+
 def test_kron_factor_requires_same_variable():
     with pytest.raises(ValueError):
         kron_factor(UnivariateFactor(2, (1,)), UnivariateFactor(3, (1,)))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -467,3 +468,54 @@ def test_truncate_and_graded_component_stay_on_numerators(f, d, constant):
         assert math.gcd(terms.den, *terms.nums.values()) == 1
         assert got.degree == want.degree and got.basis == want.basis
         assert terms == want.terms and got == want
+
+
+# ------------------------------------------------------------ value classes
+
+def value_examples():
+    from symkron import (Discrepancy, FactorizedSeries, UnivariateFactor,
+                         VerificationReport)
+    disc = Discrepancy(Partition((1,)), F(1), F(2))
+    factor = UnivariateFactor(2, (1, F(1, 2)))
+    return [
+        (lambda: Discrepancy(Partition((1,)), F(1), F(2)),
+         Discrepancy(Partition((1,)), F(1), F(3)), "partition",
+         "Discrepancy(partition=Partition(1,), lhs=Fraction(1, 1), rhs=Fraction(2, 1))"),
+        (lambda: VerificationReport("H⊗H=H", 3, "fail", Discrepancy(Partition((1,)), F(1), F(2)), 5),
+         VerificationReport("H⊗H=H", 3, "fail", disc, 6), "millis",
+         "VerificationReport(identity='H⊗H=H', degree=3, status='fail', first_discrepancy="
+         "Discrepancy(partition=Partition(1,), lhs=Fraction(1, 1), rhs=Fraction(2, 1)), "
+         "millis=5)"),
+        (lambda: UnivariateFactor(2, (1, F(1, 2))),
+         UnivariateFactor(2, (1,)), "coeffs",
+         "UnivariateFactor(n=2, coeffs=(Fraction(1, 1), Fraction(1, 2)))"),
+        (lambda: FactorizedSeries(4, {2: factor}),
+         FactorizedSeries(4, {}), "factors",
+         "FactorizedSeries(degree=4, variables=[2])"),
+    ]
+
+
+@pytest.mark.parametrize("make, other, field, text", value_examples(),
+                         ids=["Discrepancy", "VerificationReport", "UnivariateFactor",
+                              "FactorizedSeries"])
+def test_value_classes_compare_hash_guard_and_print_by_their_fields(make, other, field, text):
+    value, twin = make(), make()
+    assert value is not twin and value == twin and not value != twin
+    assert value != other and other != value
+    # The same fields in another class, or as a plain tuple, never compare.
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    for foreign in (tuple(fields.values()), types.SimpleNamespace(**fields)):
+        assert value.__eq__(foreign) is NotImplemented
+        assert value != foreign
+    if type(value).__name__ == "FactorizedSeries":
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+        assert len({value, twin, other}) == 2
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    assert value == twin
+    assert repr(value) == text
