@@ -131,8 +131,9 @@ def term_order(lam) -> tuple:
 class _Value:
     """The base of the value classes: the fields are the subclass's
     ``__slots__``, set once by ``__init__`` in that order and read-only
-    after; equality is class-exact over the fields, the hash is theirs, and
-    the repr is ``Name(field=value, ...)``."""
+    after; equality is class-exact over the fields, the hash is theirs, the
+    repr is ``Name(field=value, ...)``, and copy and pickle rebuild a value
+    from its fields."""
 
     __slots__ = ()
 
@@ -142,6 +143,11 @@ class _Value:
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: their default assigns
+        # each slot, which the guards below refuse.
+        return type(self), self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import types
 from fractions import Fraction
@@ -519,3 +521,5 @@ def test_value_classes_compare_hash_guard_and_print_by_their_fields(make, other,
         delattr(value, field)
     assert value == twin
     assert repr(value) == text
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
