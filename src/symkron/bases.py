@@ -286,14 +286,15 @@ def _s_in_p(lam: tuple) -> kernels.IntTerms:
 
 @functools.cache
 def _m_in_p(lam: tuple) -> kernels.IntTerms:
-    """[p_mu] m_lam = [h_lam] p_mu / z(mu), read across the p -> h rows."""
+    """[p_mu] m_lam = [h_lam] p_mu / z(mu), read across the p -> h rows
+    (over 1), held over n! as [h_lam] p_mu times the class size n! / z(mu)."""
+    n = sum(lam)
     out = {}
-    for mu in partitions_of(sum(lam)):
-        row = _plam_in_h(mu)
-        v = row.nums.get(lam)
+    for mu, size in zip(partitions_of(n), _class_sizes(n)):
+        v = _plam_in_h(mu).nums.get(lam)
         if v:
-            out[mu] = Fraction(v, row.den * z(mu))
-    return kernels.IntTerms.of(out)
+            out[mu] = v * size
+    return kernels.IntTerms.reduced(out, factorial(n))
 
 
 @functools.cache

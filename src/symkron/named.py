@@ -5,20 +5,25 @@ a univariate polynomial in p_n.  That split is what makes the product-form
 Kronecker reduction applicable: F = prod f_n(p_n) and G = prod g_n(p_n)
 give F (x) G = prod (f_n (x) g_n).
 
-Per variable n, writing x for p_n, the defining exponents are
+Per variable n, writing x for p_n, the defining exponents and their class
+values (entry k = n^k k! [x^k], the ints ``_factor_exponent`` returns;
+entries not listed are 0) are
 
-    H      x/n                                   (sum of all h_k)
-    E      (-1)^(n+1) x/n                        (sum of all e_k)
-    S      x^2/(2n) + [n odd] x/n                (sum of all Schur functions)
-    SHinv  x^2/(2n) - [n even] x/n               (S over H; Schur sum on
-                                                  conjugate-all-even supports)
-    SEinv  x^2/(2n) + [n even] x/n               (S over E; Schur sum on
-                                                  all-parts-even supports)
-    Modd   [n odd]  sum_{k>=1} x^k/n             (x/(n(1-x)) expanded)
-    Meven  [n even] sum_{k>=1} x^k/n
-    N      sum_{k>=1} x^(2k)/(2n)                (x^2/(2n(1-x^2)) expanded)
-    P      [n even] sum_{k>=1} (-1)^k x^k/n      (-x/(n(1+x)) expanded)
-    G      sum_{k>=1} x^(2k)/(2k)                (exp gives (1-x^2)^(-1/2))
+    H      x/n                               [1] = 1
+    E      (-1)^(n+1) x/n                    [1] = (-1)^(n+1)
+    S      x^2/(2n) + [n odd] x/n            [2] = n, [1] = [n odd]
+    SHinv  x^2/(2n) - [n even] x/n           [2] = n, [1] = -[n even]
+    SEinv  x^2/(2n) + [n even] x/n           [2] = n, [1] = [n even]
+    Modd   [n odd]  sum_{k>=1} x^k/n         [k] = [n odd] n^(k-1) k!
+    Meven  [n even] sum_{k>=1} x^k/n         [k] = [n even] n^(k-1) k!
+    N      sum_{k>=1} x^(2k)/(2n)            [2k] = n^(2k-1) (2k)!/2
+    P      [n even] sum_{k>=1} (-1)^k x^k/n  [k] = [n even] (-1)^k n^(k-1) k!
+    G      sum_{k>=1} x^(2k)/(2k)            [2k] = n^(2k) (2k-1)!
+
+H, E and S sum all h_k, all e_k and all Schur functions; SHinv = S/H and
+SEinv = S/E sum the Schur functions whose conjugate, or whose partition,
+has all parts even.  Modd, Meven, N and P expand x/(n(1-x)),
+x^2/(2n(1-x^2)) and -x/(n(1+x)); exp of G's exponent is (1-x^2)^(-1/2).
 
 Geometric denominators are expanded to explicit finite sums at construction
 time (degree of x^k is n*k, cut at the requested truncation), keeping the
@@ -30,11 +35,10 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from symkron.series import SymFunc, _Value, exp_series
 from symkron.products import UnivariateFactor, kron_factor, poly_exp
-
-_ZERO = Fraction(0)
 
 
 class NamedSeries(enum.Enum):
@@ -65,50 +69,41 @@ TAGS = tuple(member.value for member in NamedSeries)
 
 
 def _factor_exponent(tag: NamedSeries, n: int, order: int) -> list:
-    """Exponent polynomial in x = p_n through x**order (index = power)."""
-    c = [_ZERO] * (order + 1)
+    """Class values of the exponent in x = p_n through x**order: entry k
+    is n**k * k! times the coefficient of x**k, an int (module docstring)."""
+    c = [0] * (order + 3)  # room for entries 1 and 2, cut to the order below
+    odd = n % 2
     if tag is NamedSeries.H:
-        if order >= 1:
-            c[1] = Fraction(1, n)
+        c[1] = 1
     elif tag is NamedSeries.E:
-        if order >= 1:
-            c[1] = Fraction(1 if n % 2 else -1, n)
+        c[1] = 1 if odd else -1
     elif tag is NamedSeries.S:
-        if order >= 2:
-            c[2] = Fraction(1, 2 * n)
-        if n % 2 and order >= 1:
-            c[1] = Fraction(1, n)
+        c[2], c[1] = n, odd
     elif tag is NamedSeries.SHINV:
-        if order >= 2:
-            c[2] = Fraction(1, 2 * n)
-        if n % 2 == 0 and order >= 1:
-            c[1] = Fraction(-1, n)
+        c[2], c[1] = n, odd - 1
     elif tag is NamedSeries.SEINV:
-        if order >= 2:
-            c[2] = Fraction(1, 2 * n)
-        if n % 2 == 0 and order >= 1:
-            c[1] = Fraction(1, n)
+        c[2], c[1] = n, 1 - odd
     elif tag is NamedSeries.MODD:
-        if n % 2:
+        if odd:
             for k in range(1, order + 1):
-                c[k] = Fraction(1, n)
+                c[k] = n ** (k - 1) * factorial(k)
     elif tag is NamedSeries.MEVEN:
-        if n % 2 == 0:
+        if not odd:
             for k in range(1, order + 1):
-                c[k] = Fraction(1, n)
+                c[k] = n ** (k - 1) * factorial(k)
     elif tag is NamedSeries.N:
         for k in range(2, order + 1, 2):
-            c[k] = Fraction(1, 2 * n)
+            c[k] = n ** (k - 1) * factorial(k) // 2
     elif tag is NamedSeries.P:
-        if n % 2 == 0:
+        if not odd:
             for k in range(1, order + 1):
-                c[k] = Fraction((-1) ** k, n)
+                c[k] = (-1) ** k * n ** (k - 1) * factorial(k)
     elif tag is NamedSeries.G:
         for k in range(2, order + 1, 2):
-            c[k] = Fraction(1, k)
+            c[k] = n ** k * factorial(k - 1)
     else:  # pragma: no cover
         raise ValueError(f"unknown tag {tag!r}")
-    return c
+    return c[:order + 1]
 
 
 def exponent(tag, degree: int) -> SymFunc:
@@ -120,7 +115,7 @@ def exponent(tag, degree: int) -> SymFunc:
     for n in range(1, degree + 1):
         for k, c in enumerate(_factor_exponent(tag, n, degree // n)):
             if c:
-                terms[(n,) * k] = c
+                terms[(n,) * k] = Fraction(c, n ** k * factorial(k))
     return SymFunc("p", terms, degree)
 
 

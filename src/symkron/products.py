@@ -13,21 +13,24 @@ sum over cycle types nu of chi^lam(nu) chi^mu(nu) chi^rho(nu) / z_nu
 character rows of ``bases`` (``bases._char_row``, built from the
 character columns) and takes one integer dot product with the class sizes
 n! / z_nu, divided by n! once; it builds no series and no ``Fraction``.
+
+A factor in one variable p_n is held by its integer class values
+f[k] = <f, p_n^k> = n^k k! [p_n^k] f (``UnivariateFactor``): there the
+Kronecker product is pointwise and exp has no division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 from symkron import _kernels as kernels
 from symkron import bases
 from symkron.partitions import Partition, partitions_of, z
-from symkron.series import BasisError, SymFunc, _exact, _select, _Value
+from symkron.series import BasisError, SymFunc, _select, _Value
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def scalar_product(f: SymFunc, g: SymFunc) -> Fraction:
@@ -95,71 +98,67 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
 # ----------------------------------------------------- univariate factors
 
 class UnivariateFactor(_Value):
-    """A truncated polynomial in the single power-sum variable p_n.
+    """A truncated series in the single power-sum variable p_n.
 
-    coeffs[k] multiplies p_n**k, so the term of index k has series degree
-    n*k; the truncation order is in k (len(coeffs) - 1), not in degree.
-    Immutable and hashable; equal when n and coeffs are.
+    values[k] = n**k * k! * [p_n**k] f, an int, so the term of index k has
+    series degree n*k; the truncation order is in k (len(values) - 1), not
+    in degree.  Only ``coefficient`` divides by z(n^k) = n**k * k!.
+    Immutable and hashable; equal when n and values are.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "values")
 
-    def __init__(self, n: int, coeffs: tuple):
+    def __init__(self, n: int, values: tuple):
         if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError("variable index must be a positive integer")
-        coeffs = tuple(map(_exact, coeffs))
-        _Value.__init__(self, n, coeffs or (_ZERO,))
+        values = tuple(values)
+        for v in values:
+            if type(v) is not int:
+                raise TypeError(f"class values must be ints, not {type(v).__name__}")
+        _Value.__init__(self, n, values or (0,))
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.values) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.order else _ZERO
+        """The p coefficient [p_n**k] f = values[k] / (n**k * k!)."""
+        if 0 <= k <= self.order:
+            return Fraction(self.values[k], self.n ** k * factorial(k))
+        return _ZERO
 
     def to_symfunc(self, degree: int | None = None) -> SymFunc:
-        """Embed into the ambient ring; degree defaults to n * order."""
+        """Embed into the ambient ring; degree defaults to n * order and
+        must stay below n * (order + 1), where the next power is unknown."""
+        n = self.n
         if degree is None:
-            degree = self.n * self.order
-        terms = {
-            (self.n,) * k: c
-            for k, c in enumerate(self.coeffs)
-            if self.n * k <= degree
-        }
+            degree = n * self.order
+        elif degree >= n * (self.order + 1):
+            raise ValueError(f"p_{n}^{self.order + 1} is unknown at degree {degree}")
+        terms = {(n,) * k: self.coefficient(k)
+                 for k in range(self.order + 1) if n * k <= degree}
         return SymFunc("p", terms, degree)
 
 
 def kron_factor(a: UnivariateFactor, b: UnivariateFactor) -> UnivariateFactor:
-    """Kronecker product of two factors in the same variable p_n.
-
-    Diagonal in k with weight z([n^k]) = n**k * k!, i.e. a coefficientwise
-    (Hadamard-type) product; order is the minimum of the input orders.
-    """
+    """Kronecker product of two factors in the same variable p_n: as
+    p_n**j (x) p_n**k = delta(j, k) z(n^k) p_n**k, pointwise in class values,
+    to the smaller order."""
     if a.n != b.n:
         raise ValueError(f"factors live in different variables: p_{a.n} vs p_{b.n}")
-    order = min(a.order, b.order)
-    n = a.n
-    return UnivariateFactor(n, tuple(a.coeffs[k] * b.coeffs[k] * n ** k * factorial(k)
-                                     for k in range(order + 1)))
+    return UnivariateFactor(a.n, tuple(map(mul, a.values, b.values)))
 
 
 def poly_exp(a, order: int) -> list:
-    """exp of a coefficient list with a[0] == 0, truncated at the order.
-
-    The Euler recurrence k g_k = sum_{j=1..k} j a_j g_{k-j} from g_0 = 1
-    gives each coefficient from the ones before it.
-    """
+    """exp of class values a, a[0] == 0, through the order: under their
+    binomial product, g = exp(a) solves g' = a' g as g_0 = 1 and
+    g_k = sum_{j=1..k} C(k-1, j-1) a_j g_(k-j), so ints in give ints out."""
     if a and a[0]:
         raise ValueError("poly_exp needs a zero constant term")
-    ja = [j * c for j, c in enumerate(a[:order + 1])]
-    ja += [_ZERO] * (order + 1 - len(ja))
-    g = [_ONE]
+    support = [(j, a[j]) for j in range(1, min(len(a), order + 1)) if a[j]]
+    g = [1]
     for k in range(1, order + 1):
-        total = _ZERO
-        for j in range(1, k + 1):
-            if ja[j]:
-                total += ja[j] * g[k - j]
-        g.append(total / k)
+        g.append(sum(comb(k - 1, j - 1) * c * g[k - j] for j, c in support if j <= k))
     return g
 
 

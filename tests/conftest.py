@@ -121,3 +121,18 @@ def p_in_m_by_fractions(mu) -> kernels.IntTerms:
         if v:
             out[lam] = Fraction(v * z(mu), row.den)
     return kernels.IntTerms.of(out)
+
+
+def m_in_p_by_fractions(lam) -> kernels.IntTerms:
+    """[p_mu] m_lam = [h_lam] p_mu / z(mu) as one Fraction per entry,
+    brought to the integer form by ``IntTerms.of``: the reference for the
+    integer rows of ``bases._m_in_p``."""
+    from symkron.bases import _plam_in_h
+
+    out = {}
+    for mu in partitions_of(sum(lam)):
+        row = _plam_in_h(mu)
+        v = row.nums.get(lam)
+        if v:
+            out[mu] = Fraction(v, row.den * z(mu))
+    return kernels.IntTerms.of(out)

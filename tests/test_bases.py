@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import symkron
 from conftest import (constant_free_p_series, exp_by_definition, fractions_built,
-                      p_in_m_by_fractions, random_symfunc)
+                      m_in_p_by_fractions, p_in_m_by_fractions, random_symfunc)
 from symkron import _kernels as kernels
 from symkron.bases import (
     character,
@@ -464,6 +464,18 @@ def test_p_to_m_rows_are_integers_equal_to_the_fraction_rows():
             oracle = p_in_m_by_fractions(mu)
             assert (row.den, row.nums) == (oracle.den, oracle.nums), mu
             assert list(row.nums) == list(oracle.nums), mu
+
+
+def test_m_to_p_rows_built_on_integers_equal_the_fraction_rows():
+    # _m_in_p holds [h_lam] p_mu times the class size over n!, which needs
+    # every p -> h row to be over 1
+    for n in range(11):
+        for lam in partitions_of(n):
+            assert symkron.bases._plam_in_h(lam).den == 1, lam
+            row = symkron.bases._m_in_p(lam)
+            oracle = m_in_p_by_fractions(lam)
+            assert (row.den, row.nums) == (oracle.den, oracle.nums), lam
+            assert list(row.nums) == list(oracle.nums), lam
 
 
 def test_clear_caches_gives_cold_results_equal_to_warm():

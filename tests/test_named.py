@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fractions_built
 from symkron.named import (
     NamedSeries,
     TAGS,
@@ -14,7 +15,7 @@ from symkron.named import (
     factorize,
     kronecker_product_form,
 )
-from symkron.products import kronecker, plethysm
+from symkron.products import kron_factor, kronecker, plethysm
 from symkron.series import SymFunc
 
 F = Fraction
@@ -89,7 +90,9 @@ def test_s_is_plethysm_of_h():
 def test_factor_of_h():
     for n in (1, 2, 5):
         f = factor("H", n, 3)
-        assert f.coeffs == tuple(F(1, n ** k * factorial(k)) for k in range(4))
+        assert f.values == (1, 1, 1, 1)
+        assert [f.coefficient(k) for k in range(4)] == \
+            [F(1, n ** k * factorial(k)) for k in range(4)]
 
 
 def test_factor_of_s_at_two():
@@ -97,15 +100,56 @@ def test_factor_of_s_at_two():
     f = factor("S", 2, 6)
     for k in range(7):
         if k % 2:
-            assert f.coeffs[k] == 0
+            assert f.coefficient(k) == 0
         else:
             m = k // 2
-            assert f.coeffs[k] == F(1, 4 ** m * factorial(m))
+            assert f.coefficient(k) == F(1, 4 ** m * factorial(m))
 
 
 def test_factor_of_g_binomial_series():
     f = factor("G", 1, 4)
-    assert f.coeffs == (F(1), F(0), F(1, 2), F(0), F(3, 8))
+    assert [f.coefficient(k) for k in range(5)] == [F(1), F(0), F(1, 2), F(0), F(3, 8)]
+
+
+# The exponents' p coefficients as the module docstring of ``named``
+# defines them, at variable n and power k of x = p_n.
+_EXPONENT_DEFINITIONS = {
+    "H": lambda n, k: F(int(k == 1), n),
+    "E": lambda n, k: F(int(k == 1) * (-1) ** (n + 1), n),
+    "S": lambda n, k: F(int(k == 2), 2 * n) + F(int(k == 1 and n % 2 == 1), n),
+    "SHinv": lambda n, k: F(int(k == 2), 2 * n) - F(int(k == 1 and n % 2 == 0), n),
+    "SEinv": lambda n, k: F(int(k == 2), 2 * n) + F(int(k == 1 and n % 2 == 0), n),
+    "Modd": lambda n, k: F(n % 2, n),
+    "Meven": lambda n, k: F(1 - n % 2, n),
+    "N": lambda n, k: F(1 - k % 2, 2 * n),
+    "P": lambda n, k: F((1 - n % 2) * (-1) ** k, n),
+    "G": lambda n, k: F(1 - k % 2, k),
+}
+
+
+def test_exponents_match_their_definitions():
+    # The definitions on Fraction, not through the class values of
+    # _factor_exponent, which both the p-basis and the factor route read.
+    degree = 40
+    for tag in TAGS:
+        definition = _EXPONENT_DEFINITIONS[tag]
+        want = SymFunc("p", {(n,) * k: definition(n, k)
+                             for n in range(1, degree + 1)
+                             for k in range(1, degree // n + 1)}, degree)
+        assert exponent(tag, degree) == want, tag
+    # A factor holds only ints, so building each one is the check that
+    # every class value through degree 200 is integral.
+    for tag in TAGS:
+        assert all(type(v) is int for f in factorize(tag, 200).factors.values()
+                   for v in f.values)
+
+
+def test_factors_and_their_kronecker_products_build_no_fraction():
+    with fractions_built() as built:
+        for tag in TAGS:
+            for f in factorize(tag, 24).factors.values():
+                kron_factor(f, f)
+    assert built == []
 
 
 def test_factorize_reexpands_exactly():

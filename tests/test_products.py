@@ -195,14 +195,27 @@ def test_plethysm_degree_contract():
 # -------------------------------------------------------- univariate factors
 
 def test_factor_order_and_embedding():
-    f = UnivariateFactor(3, (1, F(1, 2), F(1, 3)))
+    # class values n**k * k! * [p_3**k]: p coefficients 1, 2, 1/3
+    f = UnivariateFactor(3, (1, 6, 6))
     assert f.order == 2
-    assert f.coefficient(1) == F(1, 2)
+    assert f.coefficient(1) == 2
+    assert f.coefficient(2) == F(1, 3)
     assert f.coefficient(9) == 0
     embedded = f.to_symfunc()
     assert embedded.degree == 6
-    assert embedded.terms == {(): F(1), (3,): F(1, 2), (3, 3): F(1, 3)}
-    assert f.to_symfunc(degree=3).terms == {(): F(1), (3,): F(1, 2)}
+    assert embedded.terms == {(): F(1), (3,): F(2), (3, 3): F(1, 3)}
+    assert f.to_symfunc(degree=3).terms == {(): F(1), (3,): F(2)}
+    assert f.to_symfunc(degree=8).terms == embedded.terms
+
+
+def test_factor_refuses_to_embed_past_its_order():
+    # the coefficient of p_3**2 is unknown, not zero: degree 9 used to
+    # claim [p_3**2] = [p_3**3] = 0
+    f = UnivariateFactor(3, (1, 1))
+    assert f.to_symfunc(degree=5).terms == {(): F(1), (3,): F(1, 3)}
+    for degree in (6, 9):
+        with pytest.raises(ValueError, match="unknown"):
+            f.to_symfunc(degree=degree)
 
 
 def test_factor_validation():
@@ -213,35 +226,39 @@ def test_factor_validation():
 
 
 def test_factor_rejects_float_coefficients():
-    # Fraction(0.1) used to store 3602879701896397/36028797018963968
-    with pytest.raises(TypeError, match="not floats"):
-        UnivariateFactor(1, (0.5, 0.1))
-    with pytest.raises(TypeError, match="not floats"):
-        UnivariateFactor(2, (1, 1.0))
-    for bad in ("1e20000", True):
-        with pytest.raises(TypeError, match="int or Fraction"):
+    # Fraction(0.1) used to store 3602879701896397/36028797018963968; a
+    # class value is an int, so a Fraction is refused too
+    for bad, kind in ((0.5, "float"), (1.0, "float"), (True, "bool"),
+                      ("1e20000", "str"), (F(1, 2), "Fraction"), (F(2), "Fraction")):
+        with pytest.raises(TypeError, match=f"class values must be ints, not {kind}"):
             UnivariateFactor(1, (1, bad))
+    assert type(UnivariateFactor(2, ()).values[0]) is int
 
 
 def test_kron_factor_weights():
-    one_plus_p = UnivariateFactor(3, (1, 1))
-    assert kron_factor(one_plus_p, one_plus_p).coeffs == (F(1), F(3))
+    # p coefficients 1 and 1: 1 + p_3 against itself gives 1 + 3 p_3
+    one_plus_p = UnivariateFactor(3, (1, 3))
+    product = kron_factor(one_plus_p, one_plus_p)
+    assert product.values == (1, 9)
+    assert (product.coefficient(0), product.coefficient(1)) == (F(1), F(3))
 
 
 def test_kron_factor_annihilates_against_constant():
-    a = UnivariateFactor(2, (F(7), F(1, 3), F(2, 5)))
+    a = UnivariateFactor(2, (7, 2, 8))
     b = UnivariateFactor(2, (1,))
-    assert kron_factor(a, b).coeffs == (F(7),)
+    assert kron_factor(a, b).values == (7,)
 
 
 def test_kron_factor_weighs_by_n_power_k_factorial_without_the_z_memo():
-    # z(n^k) = n**k * k! is computed, not read from the memo of z, which
-    # would otherwise gain one key per k up to the order.
+    # In class values the product is pointwise; reading a p coefficient
+    # divides by z(n^k) = n**k * k!, computed, not read from the memo of
+    # z, which would otherwise gain one key per k up to the order.
     symkron.clear_caches()
-    ones = UnivariateFactor(2, (1,) * 201)
+    ones = UnivariateFactor(2, tuple(2 ** k * factorial(k) for k in range(201)))
     product = kron_factor(ones, ones)
+    coefficients = [product.coefficient(k) for k in range(201)]
     assert symkron.partitions._z.cache_info().currsize == 0
-    assert product.coeffs == tuple(F(z((2,) * k)) for k in range(201))
+    assert coefficients == [F(z((2,) * k)) for k in range(201)]
 
 
 def test_kron_factor_requires_same_variable():
@@ -250,10 +267,11 @@ def test_kron_factor_requires_same_variable():
 
 
 def test_kron_factor_central_binomials():
-    # exp(x^2/4) against itself gives (1 - x^2)^(-1/2)
+    # exp(x^2/4) against itself gives (1 - x^2)^(-1/2); x^2/4 at n = 2 has
+    # class value 2**2 * 2! / 4 = 2
     order = 20
-    expo = [F(0)] * (order + 1)
-    expo[2] = F(1, 4)
+    expo = [0] * (order + 1)
+    expo[2] = 2
     f = UnivariateFactor(2, poly_exp(expo, order))
     g = kron_factor(f, f)
     for m in range(order // 2 + 1):
@@ -265,22 +283,25 @@ def test_kron_factor_central_binomials():
 def test_poly_helpers():
     assert poly_mul([1, 1], [1, 1], 2) == [F(1), F(2), F(1)]
     assert poly_mul([1, 1], [1, 1], 1) == [F(1), F(2)]
-    exp_x = poly_exp([F(0), F(1)], 5)
-    assert exp_x == [F(1, factorial(k)) for k in range(6)]
+    # exp(y) has every class value 1
+    assert poly_exp([0, 1], 5) == [1] * 6
     with pytest.raises(ValueError):
-        poly_exp([F(1)], 3)
+        poly_exp([1], 3)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.fractions(-9, 9, max_denominator=12), max_size=14), st.integers(0, 16))
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=14), st.integers(0, 16))
 @example([], 0)
 @example([], 5)
-@example([F(0)] * 9 + [F(2, 3)], 12)
+@example([0] * 8 + [-40320 * 2], 12)
 def test_poly_exp_matches_horner(tail, order):
-    a = [F(0)] + tail
+    # class values v_k stand for the coefficients c_k = v_k / k! of a
+    # series in y = x / n, whose exp poly_exp_by_horner takes on Fraction
+    a = [0] + tail
     got = poly_exp(a, order)
-    assert got == poly_exp_by_horner(a, order)
-    assert all(type(c) is F for c in got)
+    assert all(type(v) is int for v in got)
+    c = [F(v, factorial(k)) for k, v in enumerate(a)]
+    assert [F(v, factorial(k)) for k, v in enumerate(got)] == poly_exp_by_horner(c, order)
 
 
 # ----------------------------------------------------- Kronecker coefficients

@@ -478,7 +478,7 @@ def value_examples():
     from symkron import (Discrepancy, FactorizedSeries, UnivariateFactor,
                          VerificationReport)
     disc = Discrepancy(Partition((1,)), F(1), F(2))
-    factor = UnivariateFactor(2, (1, F(1, 2)))
+    factor = UnivariateFactor(2, (1, 1))
     return [
         (lambda: Discrepancy(Partition((1,)), F(1), F(2)),
          Discrepancy(Partition((1,)), F(1), F(3)), "partition",
@@ -488,9 +488,9 @@ def value_examples():
          "VerificationReport(identity='H⊗H=H', degree=3, status='fail', first_discrepancy="
          "Discrepancy(partition=Partition(1,), lhs=Fraction(1, 1), rhs=Fraction(2, 1)), "
          "millis=5)"),
-        (lambda: UnivariateFactor(2, (1, F(1, 2))),
-         UnivariateFactor(2, (1,)), "coeffs",
-         "UnivariateFactor(n=2, coeffs=(Fraction(1, 1), Fraction(1, 2)))"),
+        (lambda: UnivariateFactor(2, (1, 1)),
+         UnivariateFactor(2, (1,)), "values",
+         "UnivariateFactor(n=2, values=(1, 1))"),
         (lambda: FactorizedSeries(4, {2: factor}),
          FactorizedSeries(4, {}), "factors",
          "FactorizedSeries(degree=4, variables=[2])"),

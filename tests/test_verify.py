@@ -1,11 +1,11 @@
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 import symkron
-from conftest import fractions_built, poly_mul
+from conftest import fractions_built, poly_exp_by_horner, poly_mul
 from symkron import named
 from symkron._kernels import IntTerms
 from symkron.bases import _omega, character, from_p
@@ -15,7 +15,6 @@ from symkron.products import (
     UnivariateFactor,
     kron_factor,
     kronecker,
-    poly_exp,
 )
 from symkron.series import BasisError, SymFunc, exp_series
 from symkron.verify import CROSS_CHECK_DEGREE
@@ -305,18 +304,20 @@ def test_factor_closed_forms_match_their_series(n):
     if n % 2 == 0:
         expected = binomials
     else:
-        expected = poly_mul(poly_exp([F(0)] + [F(1, n)] * order, order),
+        expected = poly_mul(poly_exp_by_horner([F(0)] + [F(1, n)] * order, order),
                             binomials, order)
     f = named.factor("S", n, order)
-    assert list(kron_factor(f, f).coeffs) == expected
+    g = kron_factor(f, f)
+    assert [g.coefficient(k) for k in range(order + 1)] == expected
 
 
 def _bump_kron_factor(monkeypatch, k):
-    """Make the report see g_k + 1 in place of g_k."""
+    """Make the report see g_k + 1 in place of g_k: class value k grows
+    by z(n^k) = n**k * k!."""
     def bumped(a, b):
-        coeffs = list(kron_factor(a, b).coeffs)
-        coeffs[k] += 1
-        return UnivariateFactor(a.n, coeffs)
+        values = list(kron_factor(a, b).values)
+        values[k] += a.n ** k * factorial(k)
+        return UnivariateFactor(a.n, values)
 
     monkeypatch.setattr("symkron.verify.kron_factor", bumped)
 
