@@ -51,9 +51,9 @@ class IntTerms(Mapping):
     ``nums`` maps each key to a nonzero int and ``den`` is positive, with
     gcd(den, *nums) == 1, so the form is canonical.  ``len``, iteration,
     ``in`` and ``keys()`` answer from ``nums``; reading a value builds its
-    ``Fraction``, and ``items()`` and ``values()`` build the map of them
-    on each call.  Two ``IntTerms`` compare by (den, nums); any other
-    mapping compares by value.
+    ``Fraction``, and the ``items()`` and ``values()`` views of ``Mapping``
+    build one per value read.  Two ``IntTerms`` compare by (den, nums);
+    any other mapping compares by value.
     """
 
     __slots__ = ("nums", "den")
@@ -81,22 +81,12 @@ class IntTerms(Mapping):
         den = lcm(*[c.denominator for c in terms.values()])
         return cls({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
-    def _values(self) -> dict:
-        den = self.den
-        return {k: Fraction(v, den) for k, v in self.nums.items()}
-
     def __getitem__(self, key):
         return Fraction(self.nums[key], self.den)
 
     def get(self, key, default=None):
         v = self.nums.get(key)
         return default if v is None else Fraction(v, self.den)
-
-    def items(self):
-        return self._values().items()
-
-    def values(self):
-        return self._values().values()
 
     def keys(self):
         return self.nums.keys()
@@ -114,7 +104,7 @@ class IntTerms(Mapping):
         if type(other) is IntTerms:
             return self.den == other.den and self.nums == other.nums
         if isinstance(other, Mapping):
-            return self._values() == dict(other.items())
+            return dict(self.items()) == dict(other.items())
         return NotImplemented
 
     __hash__ = None

@@ -14,17 +14,20 @@ through it:
   [p_mu] b_lam = [b*_lam] p_mu / z(mu).  m goes both ways by rows read
   across the h/p tables of its weight, [p_mu] m_lam = [h_lam] p_mu / z(mu)
   and [m_lam] p_mu = z(mu) [p_mu] h_lam; s -> p reads chi^lam(mu) / z(mu)
-  across the character columns.
+  across the character columns.  The p rows of h_n, m_lam and s_lam
+  come from one builder, ``_over_classes``.
 
 Characters come by two independent routes, both Murnaghan-Nakayama:
 
 * the conversions add border strips on beta-set bitmasks, one helper
-  (``_add_strips``: p_t times a Schur vector) for both directions.  p -> s
-  in ``from_p`` is a Horner sum over the partition trie: the terms are
-  grouped by their smallest part t, each group is converted with t peeled
-  off, and p_t multiplies the group's sum once, all on the input's
-  numerators; each mask of the sum is decoded back to its partition
-  (``_mask_partition``), so a sparse result costs only its own terms.
+  (``_add_strips``: p_t times a Schur vector) for both directions.  One
+  Horner driver, ``_p_times``, applies a sum of power sums to a Schur
+  vector: the terms are grouped by their smallest part t, each group is
+  applied with t peeled off, and p_t multiplies the group's sum once.
+  p -> s in ``from_p`` is that driver on the empty partition, on the
+  input's numerators; each mask of the sum is decoded back to its
+  partition (``_mask_partition``), so a sparse result costs only its own
+  terms.
   s -> p in ``to_p`` reads integer character *columns*
   p_mu = sum_lam chi^lam(mu) s_lam, memoized per cycle type mu and built
   from the column of mu's tail.  Each lam is read across the columns once,
@@ -33,8 +36,8 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   ``_s_in_p`` is that row times the class sizes ``_class_sizes``, and the
   default ``kronecker_coefficient`` is one dot product of three rows with
   the class sizes.  Both rest on the columns and not on ``character``.
-  ``exp_in_s`` adds the same strips to build exp(f) in s straight from a
-  p-basis exponent f, by the one driver of the Euler recurrence,
+  ``exp_in_s`` runs the same Horner driver to build exp(f) in s straight
+  from a p-basis exponent f, by the one driver of the Euler recurrence,
   ``_kernels._exp_slices``, on Schur vectors, so a series given by a short
   exponent is never expanded in p.
   It and ``from_p`` of the p-expansion are two routes to the same
@@ -44,9 +47,11 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   oracle uses this route (``kronecker_coefficient(oracle=True)`` and the
   tests), so the pipeline is never checked against itself.
 
-The character memo of the oracle is a plain dict; every other table is a
-``functools.cache`` function.  Both are append-only, so concurrent readers
-are safe (a duplicated computation stores the same value twice);
+The character memo of the oracle is a plain dict; ``_column``,
+``_char_row``, ``_class_sizes``, ``_hlam_in_p``, ``_plam_in_h`` and
+``_p_in_m`` are ``functools.cache`` memos, and ``_s_in_p`` and ``_m_in_p``
+build each row from them per call.  The memos are append-only, so
+concurrent readers are safe (a duplicated computation stores it twice);
 ``clear_caches`` empties them all.  Every change-of-basis row, like every
 value's ``terms``, is held in the kernels' read-only integer form
 ``IntTerms``.  A conversion reads the numerators and denominator of its
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm, prod
 
 from symkron import _kernels as kernels
@@ -183,6 +189,29 @@ def _add_strips(vec, t: int, acc: dict[int, int]) -> None:
                 acc[grown] = get(grown, 0) + chi
 
 
+def _p_times(acc: dict[int, int], rows, vec) -> None:
+    """acc += sum over the rows (mu, c) of c p_mu * vec, over s keyed by
+    beta mask, with vec given as (mask, value) pairs.
+
+    Horner's rule on the partition trie: the rows are grouped by their
+    smallest part t, each group is applied to vec with t peeled off, and
+    p_t multiplies the group's sum once, by ``_add_strips``; the empty key
+    adds c * vec.
+    """
+    groups: dict[int, list] = {}
+    get = acc.get
+    for mu, c in rows:
+        if mu:
+            groups.setdefault(mu[-1], []).append((mu[:-1], c))
+        else:
+            for mask, v in vec:
+                acc[mask] = get(mask, 0) + c * v
+    for t, group in groups.items():
+        inner: dict[int, int] = {}
+        _p_times(inner, group, vec)
+        _add_strips(inner.items(), t, acc)
+
+
 @functools.cache
 def _column(mu: tuple) -> dict[int, int]:
     """Beta mask of lam -> chi^lam(mu), nonzero values only; read by the
@@ -199,25 +228,6 @@ def _column(mu: tuple) -> dict[int, int]:
     return {k: v for k, v in acc.items() if v}
 
 
-def _horner(terms: dict[tuple, int]) -> dict[int, int]:
-    """sum over mu of terms[mu] * p_mu, over s, keyed by beta mask.
-
-    Horner's rule on the partition trie: the terms are grouped by their
-    smallest part t, each group (with t peeled off) is converted first, and
-    p_t multiplies the group's sum once, by ``_add_strips``.
-    """
-    out: dict[int, int] = {}
-    groups: dict[int, dict] = {}
-    for mu, c in terms.items():
-        if mu:
-            groups.setdefault(mu[-1], {})[mu[:-1]] = c
-        else:
-            out[0] = c
-    for t, group in groups.items():
-        _add_strips(_horner(group).items(), t, out)
-    return out
-
-
 # ------------------------------------------------- change-of-basis tables
 
 def _omega(terms: kernels.IntTerms) -> kernels.IntTerms:
@@ -232,14 +242,12 @@ _EMPTY_ROW = kernels.IntTerms({Partition(): 1}, 1)
 @functools.cache
 def _hlam_in_p(lam: tuple) -> kernels.IntTerms:
     """h_lam over p: the closed form for one part, else h_(lam_1) times the
-    tail's table.  h_n = sum over mu of p_mu / z(mu) is held over n!, whose
-    numerators n! / z(mu) are the class sizes."""
+    tail's table.  h_n = sum over mu of p_mu / z(mu), every class value 1."""
     if len(lam) > 1:
         return kernels.mul_terms(_hlam_in_p(lam[:1]), _hlam_in_p(lam[1:]), sum(lam))
     if not lam:
         return _EMPTY_ROW
-    order = factorial(lam[0])
-    return kernels.IntTerms({mu: order // z(mu) for mu in partitions_of(lam[0])}, order)
+    return _over_classes(lam[0], repeat(1))
 
 
 @functools.cache
@@ -273,28 +281,25 @@ def _char_row(lam: tuple) -> tuple:
     return tuple(_column(mu).get(mask, 0) for mu in partitions_of(n))
 
 
-@functools.cache
+def _over_classes(n: int, values) -> kernels.IntTerms:
+    """sum over mu |- n of values[i] p_mu / z(mu), with integer values in
+    ``partitions_of(n)`` order: held over n! as value times the class size
+    n! / z(mu), and reduced."""
+    return kernels.IntTerms.reduced(
+        {mu: v * size for mu, v, size in zip(partitions_of(n), values, _class_sizes(n)) if v},
+        factorial(n))
+
+
 def _s_in_p(lam: tuple) -> kernels.IntTerms:
-    """[p_mu] s_lam = chi^lam(mu) / z(mu), held over n! as chi^lam(mu)
-    times the class size n! / z(mu), from the dense row and class sizes."""
-    n = sum(lam)
-    out = {mu: chi * size
-           for mu, chi, size in zip(partitions_of(n), _char_row(lam), _class_sizes(n))
-           if chi}
-    return kernels.IntTerms.reduced(out, factorial(n))
+    """[p_mu] s_lam = chi^lam(mu) / z(mu), from the dense character row."""
+    return _over_classes(sum(lam), _char_row(lam))
 
 
-@functools.cache
 def _m_in_p(lam: tuple) -> kernels.IntTerms:
-    """[p_mu] m_lam = [h_lam] p_mu / z(mu), read across the p -> h rows
-    (over 1), held over n! as [h_lam] p_mu times the class size n! / z(mu)."""
+    """[p_mu] m_lam = [h_lam] p_mu / z(mu), read across the p -> h rows,
+    which are over 1."""
     n = sum(lam)
-    out = {}
-    for mu, size in zip(partitions_of(n), _class_sizes(n)):
-        v = _plam_in_h(mu).nums.get(lam)
-        if v:
-            out[mu] = v * size
-    return kernels.IntTerms.reduced(out, factorial(n))
+    return _over_classes(n, [_plam_in_h(mu).nums.get(lam, 0) for mu in partitions_of(n)])
 
 
 @functools.cache
@@ -314,16 +319,17 @@ def _p_in_m(mu: tuple) -> kernels.IntTerms:
 
 def clear_caches() -> None:
     """Empty every memo of this module: the character memo of the oracle,
-    the character columns and the change-of-basis tables.  The memoized
-    ``z`` and the kernels' code -> Partition tables, which these tables
-    read, are left to ``symkron.clear_caches``, which empties them too.
+    the character columns, the dense rows and class sizes, and the
+    memoized change-of-basis tables (``_s_in_p`` and ``_m_in_p`` hold
+    none).  The memoized ``z`` and the kernels' code -> Partition tables,
+    which these tables read, are left to ``symkron.clear_caches``, which
+    empties them too.
 
     Only for cold measurements and tests; values computed before stay
     valid, so the call is harmless apart from the recomputation it causes.
     """
     _char_cache.clear()
-    for memo in (_column, _class_sizes, _char_row, _hlam_in_p, _plam_in_h, _s_in_p,
-                 _m_in_p, _p_in_m):
+    for memo in (_column, _class_sizes, _char_row, _hlam_in_p, _plam_in_h, _p_in_m):
         memo.cache_clear()
 
 
@@ -372,9 +378,9 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
     h and e coefficients multiply out the p -> h table (e as the h
     coefficients of omega(f), since omega(e_lam) = h_lam); m coefficients
     are the duality rows [m_lam] p_mu = z(mu) [p_mu] h_lam, read across the
-    h -> p table.  s coefficients are the Horner sum of the input over the
-    partition trie, p_t times a Schur vector adding border strips of size
-    t, over one common denominator.
+    h -> p table.  s coefficients are the Horner driver ``_p_times``
+    applied to the empty partition, p_t times a Schur vector adding border
+    strips of size t, over one common denominator.
     """
     if target not in BASES:
         raise BasisError(f"unknown basis {target!r}; expected one of {BASES}")
@@ -384,23 +390,12 @@ def from_p(f: SymFunc, target: str) -> SymFunc:
         return f
     if target == "s":
         # Over one common denominator the Horner sum runs on Python ints.
-        out = {_mask_partition(mask): v for mask, v in _horner(f.terms.nums).items() if v}
+        acc: dict[int, int] = {}
+        _p_times(acc, f.terms.nums.items(), ((0, 1),))
+        out = {_mask_partition(mask): v for mask, v in acc.items() if v}
         return SymFunc._of("s", kernels.IntTerms.reduced(out, f.terms.den), f.degree)
     terms = _omega(f.terms) if target == "e" else f.terms
     return SymFunc._of(target, _change_basis(terms, _FROM_P[target]), f.degree)
-
-
-def _p_times(acc: dict[int, int], rows: list, vec) -> None:
-    """acc += sum over the rows (mu, v) of v p_mu * vec, over s keyed by
-    beta mask, with vec given as (mask, value) pairs: one ``_add_strips``
-    per part of mu."""
-    for mu, v in rows:
-        grown = vec if v == 1 else [(mask, v * c) for mask, c in vec]
-        for t in mu[1:]:
-            step: dict[int, int] = {}
-            _add_strips(grown, t, step)
-            grown = step.items()
-        _add_strips(grown, mu[0], acc)
 
 
 def exp_in_s(f: SymFunc) -> SymFunc:
@@ -409,9 +404,10 @@ def exp_in_s(f: SymFunc) -> SymFunc:
 
     The Euler recurrence of ``kernels._exp_slices``, which ``exp_series``
     runs on coded p keys, here run in Schur coordinates: each slice of
-    exp(f) is a vector keyed by beta mask, and a term c p_mu of f acts on
-    it by one ``_add_strips`` per part of mu (``_p_times``).  An exponent
-    with a few terms, as the named series have, never expands exp(f) in p.
+    exp(f) is a vector keyed by beta mask, and the terms of each slice of
+    f act on it by the Horner driver ``_p_times`` that ``from_p`` runs.  An
+    exponent with a few terms, as the named series have, never expands
+    exp(f) in p.
     """
     if f.basis != "p":
         raise BasisError("exp_in_s expects a p-basis input")

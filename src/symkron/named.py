@@ -138,16 +138,23 @@ def expand(tag, degree: int) -> SymFunc:
 class FactorizedSeries(_Value):
     """A series as a product over n of univariate factors in p_n.
 
-    ``factors`` maps the variable index n to its UnivariateFactor; an
-    absent index means the factor is the constant 1.  Re-expanding the
-    product and truncating reproduces expand(tag, degree) exactly.  Equal
-    when both fields are; the dict of factors makes it unhashable.
+    ``factors`` maps the variable index n to its UnivariateFactor, whose
+    own ``n`` it must be; an absent index means the factor is the constant
+    1.  Re-expanding the product and truncating reproduces
+    expand(tag, degree) exactly.  Equal when both fields are; the dict of
+    factors makes it unhashable.
     """
 
     __slots__ = ("degree", "factors")
 
     def __init__(self, degree: int, factors: dict):
-        _Value.__init__(self, degree, dict(factors))
+        factors = dict(factors)
+        for n, f in factors.items():
+            if not isinstance(f, UnivariateFactor):
+                raise TypeError(f"factor at {n!r} is not a UnivariateFactor: {f!r}")
+            if type(n) is not int or n != f.n:  # bool is an int subclass
+                raise ValueError(f"factor in p_{f.n} keyed by {n!r}")
+        _Value.__init__(self, degree, factors)
 
     __hash__ = None
 

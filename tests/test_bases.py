@@ -497,7 +497,6 @@ def test_clear_caches_gives_cold_results_equal_to_warm():
              for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
     assert {"symkron.bases._column",
             "symkron.bases._hlam_in_p", "symkron.bases._plam_in_h",
-            "symkron.bases._s_in_p", "symkron.bases._m_in_p",
             "symkron.bases._p_in_m", "symkron.bases._char_row",
             "symkron.bases._class_sizes",
             "symkron.named._expand_cached",

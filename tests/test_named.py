@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fractions_built
 from symkron.named import (
+    FactorizedSeries,
     NamedSeries,
     TAGS,
     expand,
@@ -15,7 +16,7 @@ from symkron.named import (
     factorize,
     kronecker_product_form,
 )
-from symkron.products import kron_factor, kronecker, plethysm
+from symkron.products import UnivariateFactor, kron_factor, kronecker, plethysm
 from symkron.series import SymFunc
 
 F = Fraction
@@ -165,6 +166,18 @@ def test_factorize_omits_trivial_factors():
     assert set(fs.factors) == {2, 4, 6}
     assert factorize("Modd", 6).factors.keys() == {1, 3, 5}
     assert factorize("H", 0).factors == {}
+
+
+def test_factorized_series_checks_its_keys_and_factors():
+    # both used to build: the first expanded as a factor in p_3
+    with pytest.raises(ValueError, match="p_3 keyed by 2"):
+        FactorizedSeries(6, {2: UnivariateFactor(3, (1, 3, 18))})
+    with pytest.raises(TypeError, match="not a UnivariateFactor"):
+        FactorizedSeries(6, {0: "x"})
+    with pytest.raises(ValueError):
+        FactorizedSeries(2, {True: UnivariateFactor(1, (1, 1))})
+    good = FactorizedSeries(6, {3: UnivariateFactor(3, (1, 3, 18))})
+    assert good.expand() == SymFunc("p", {(): 1, (3,): 1, (3, 3): 1}, 6)
 
 
 def test_product_form_matches_direct_kronecker():

@@ -370,7 +370,7 @@ def test_default_and_oracle_routes_share_no_character_code(monkeypatch):
         assert not bases._char_cache
         symkron.clear_caches()
         assert [kronecker_coefficient(*t, oracle=True) for t in triples] == default
-        for memo in (bases._column, bases._s_in_p, bases._char_row, bases._class_sizes):
+        for memo in (bases._column, bases._char_row, bases._class_sizes):
             assert memo.cache_info().currsize == 0, memo
 
         # chi^(5,1) on the 6-cycle is -1; raising it by z(6) = 6 moves the

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 from fractions import Fraction
 from math import comb, factorial
@@ -6,7 +8,7 @@ import pytest
 
 import symkron
 from conftest import fractions_built, poly_exp_by_horner, poly_mul
-from symkron import named
+from symkron import _kernels, bases, kronecker_coefficient, named
 from symkron._kernels import IntTerms
 from symkron.bases import _omega, character, from_p
 from symkron.named import NamedSeries
@@ -469,3 +471,84 @@ def test_suite_catches_injected_corruption(monkeypatch):
     assert suite_exit_status(reports) == 1
     failed = {r.identity for r in reports if not r.passed()}
     assert "E⊗S=S" in failed
+
+
+# The route matrix: each fault, injected alone, must fail exactly the
+# routes that read the code it breaks.  The routes are the four verify
+# targets and "coef", the default kronecker_coefficient held against the
+# oracle.  A fault that failed a route it should not reach would mean two
+# routes share code; one that failed fewer would mean a route checks
+# nothing.
+
+def _failing_routes() -> set:
+    """The routes that fail: each verify target at degree 8, and "coef" on
+    every triple of weight 5.  An ArithmeticError fails its route."""
+    failing = set()
+    for target in ("table", "intro", "support", "factors"):
+        try:
+            if suite_exit_status(run_suite(8, target)):
+                failing.add(target)
+        except ArithmeticError:
+            failing.add(target)
+    try:
+        if any(kronecker_coefficient(*t) != kronecker_coefficient(*t, oracle=True)
+               for t in itertools.product(partitions_of(5), repeat=3)):
+            failing.add("coef")
+    except ArithmeticError:
+        failing.add("coef")
+    return failing
+
+
+def _z_off_by_one(monkeypatch):
+    z_memo = _kernels._z
+    monkeypatch.setattr(_kernels, "_z", lambda k: z_memo(k) + (k == (2, 1)))
+
+
+def _exp_slice_doubled(monkeypatch):
+    exp_slices = _kernels._exp_slices
+
+    def doubled(*args):
+        den, g = exp_slices(*args)
+        return den, [(rows, 2 * scale if k == 3 else scale) for k, (rows, scale) in enumerate(g)]
+    monkeypatch.setattr(_kernels, "_exp_slices", doubled)
+
+
+def _strip_sign_flipped(monkeypatch):
+    add_strips = bases._add_strips
+
+    def flipped(vec, t, acc):
+        add_strips([(mask, -v) for mask, v in vec] if t == 2 else vec, t, acc)
+    monkeypatch.setattr(bases, "_add_strips", flipped)
+
+
+def _char_row_raised(monkeypatch):
+    char_row = bases._char_row
+
+    @functools.cache  # clear_caches calls cache_clear on it
+    def raised(lam):
+        row = char_row(lam)
+        return (row[0] + 1,) + row[1:] if lam == (3, 2) else row
+    monkeypatch.setattr(bases, "_char_row", raised)
+
+
+def _table_entry_swapped(monkeypatch):
+    monkeypatch.setitem(TABLE, (NamedSeries.S, NamedSeries.SHINV),
+                        (NamedSeries.G, NamedSeries.MEVEN))
+
+
+@pytest.mark.parametrize("fault, failing", [
+    (lambda monkeypatch: None, set()),
+    (_z_off_by_one, {"table"}),
+    (_exp_slice_doubled, {"table", "intro"}),
+    (_strip_sign_flipped, {"support", "coef"}),
+    (_char_row_raised, {"coef"}),
+    (_table_entry_swapped, {"table"}),
+], ids=["none", "z", "exp_slice", "strip_sign", "char_row", "table_entry"])
+def test_each_fault_fails_exactly_its_routes(monkeypatch, fault, failing):
+    symkron.clear_caches()
+    try:
+        fault(monkeypatch)
+        assert _failing_routes() == failing
+    finally:
+        monkeypatch.undo()
+        symkron.clear_caches()
