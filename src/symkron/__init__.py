@@ -13,7 +13,6 @@ from symkron.partitions import Partition, conjugate, partitions_of, z
 from symkron.series import (
     BASES,
     BasisError,
-    Coefficient,
     SymFunc,
     exp_series,
 )
@@ -60,23 +59,23 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo in the package: the named-series expansions, the
     partition lists, the memoized ``z``, the kernels' code -> Partition
-    tables, and the conversion tables and character memos of
-    ``symkron.bases``.
+    tables, the character columns, dense rows and class sizes and the
+    change-of-basis tables of ``symkron.bases``, and the oracle's character
+    memo.  This is the one list of the memos.
 
     Lets a cold computation be measured in-process; results do not depend
-    on it.
+    on it, and values computed before stay valid.
     """
-    named._expand_cached.cache_clear()
-    partitions._partitions.cache_clear()
-    partitions._z.cache_clear()
-    _kernels._decoded.cache_clear()
-    bases.clear_caches()
+    for memo in (named._expand_cached, partitions._partitions, partitions._z,
+                 _kernels._decoded, bases._column, bases._class_sizes, bases._char_row,
+                 bases._hlam_in_p, bases._plam_in_h, bases._p_in_m):
+        memo.cache_clear()
+    bases._char_cache.clear()
 
 
 __all__ = [
     "BASES",
     "BasisError",
-    "Coefficient",
     "Discrepancy",
     "FactorizedSeries",
     "NamedSeries",

@@ -52,11 +52,12 @@ The character memo of the oracle is a plain dict; ``_column``,
 ``_p_in_m`` are ``functools.cache`` memos, and ``_s_in_p`` and ``_m_in_p``
 build each row from them per call.  The memos are append-only, so
 concurrent readers are safe (a duplicated computation stores it twice);
-``clear_caches`` empties them all.  Every change-of-basis row, like every
-value's ``terms``, is held in the kernels' read-only integer form
-``IntTerms``.  A conversion reads the numerators and denominator of its
-input and rows and returns a new integer form of its sum, so no value
-holds a memo row as its ``terms``.
+``symkron.clear_caches``, which lists every memo of the package, empties
+them all.  Every change-of-basis row, like every value's ``terms``, is
+held in the kernels' read-only integer form ``IntTerms``.  A conversion
+reads the numerators and denominator of its input and rows and returns a
+new integer form of its sum, so no value holds a memo row as its
+``terms``.
 """
 
 from __future__ import annotations
@@ -315,22 +316,6 @@ def _p_in_m(mu: tuple) -> kernels.IntTerms:
         if v:
             out[lam] = v * zmu // row.den
     return kernels.IntTerms(out, 1)
-
-
-def clear_caches() -> None:
-    """Empty every memo of this module: the character memo of the oracle,
-    the character columns, the dense rows and class sizes, and the
-    memoized change-of-basis tables (``_s_in_p`` and ``_m_in_p`` hold
-    none).  The memoized ``z`` and the kernels' code -> Partition tables,
-    which these tables read, are left to ``symkron.clear_caches``, which
-    empties them too.
-
-    Only for cold measurements and tests; values computed before stay
-    valid, so the call is harmless apart from the recomputation it causes.
-    """
-    _char_cache.clear()
-    for memo in (_column, _class_sizes, _char_row, _hlam_in_p, _plam_in_h, _p_in_m):
-        memo.cache_clear()
 
 
 # -------------------------------------------------------------- conversions

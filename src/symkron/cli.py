@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="use the independent character-sum route")
 
     p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("what", choices=("table", "intro", "support", "factors", "all"))
+    p_verify.add_argument("what", choices=(*verify.TARGETS, "all"))
     p_verify.add_argument("--degree", type=int, default=10)
     p_verify.add_argument("--json", dest="json_path", metavar="PATH",
                           help="also write the reports as JSON to PATH")

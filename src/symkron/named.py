@@ -7,7 +7,8 @@ give F (x) G = prod (f_n (x) g_n).
 
 Per variable n, writing x for p_n, the defining exponents and their class
 values (entry k = n^k k! [x^k], the ints ``_factor_exponent`` returns;
-entries not listed are 0) are
+entries not listed are 0; only ``UnivariateFactor.coefficient`` divides
+them by z(n^k) = n^k k!, for ``exponent`` and the factors alike) are
 
     H      x/n                               [1] = 1
     E      (-1)^(n+1) x/n                    [1] = (-1)^(n+1)
@@ -33,7 +34,6 @@ series layer free of rational-function arithmetic.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -113,9 +113,10 @@ def exponent(tag, degree: int) -> SymFunc:
     tag = NamedSeries.from_tag(tag)
     terms = {}
     for n in range(1, degree + 1):
-        for k, c in enumerate(_factor_exponent(tag, n, degree // n)):
+        exponent_n = UnivariateFactor(n, _factor_exponent(tag, n, degree // n))
+        for k, c in enumerate(exponent_n.values):
             if c:
-                terms[(n,) * k] = Fraction(c, n ** k * factorial(k))
+                terms[(n,) * k] = exponent_n.coefficient(k)
     return SymFunc("p", terms, degree)
 
 
@@ -127,8 +128,10 @@ def _expand_cached(tag: NamedSeries, degree: int) -> SymFunc:
 def expand(tag, degree: int) -> SymFunc:
     """The series itself as a p-basis SymFunc truncated at degree.
 
-    Results are cached per (tag, degree); SymFunc values are immutable, so
-    sharing is safe.
+    Results are memoized per (tag, degree), and every caller gets the
+    memo's value: its fields are read-only, so no caller can change the
+    basis or degree another one reads.  Its ``terms`` is shared as well and
+    must not be written to.
     """
     if type(degree) is not int or degree < 0:  # bool is an int subclass
         raise ValueError(f"degree must be a non-negative integer: {degree!r}")
@@ -188,10 +191,9 @@ def factorize(tag, degree: int) -> FactorizedSeries:
     tag = NamedSeries.from_tag(tag)
     factors = {}
     for n in range(1, degree + 1):
-        order = degree // n
-        exponent_n = _factor_exponent(tag, n, order)
-        if any(exponent_n):
-            factors[n] = UnivariateFactor(n, poly_exp(exponent_n, order))
+        f = factor(tag, n, degree // n)
+        if any(f.values[1:]):  # exp(a) = 1 exactly when a = 0
+            factors[n] = f
     return FactorizedSeries(degree, factors)
 
 

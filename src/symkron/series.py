@@ -11,8 +11,9 @@ so everything is exact and canonical (lowest terms, positive denominator).
 fixed when the value is built and owned by it.  Kernels, comparisons,
 arithmetic, ``truncate``, ``graded_component`` and JSON output and input
 work on the numerators, so a chain of them builds no ``Fraction``; a
-coefficient read builds one.  Values are immutable by convention:
-operations return new values.
+coefficient read builds one.  Operations return new values, and a
+value's fields are read-only, so a shared or memoized series cannot be
+changed through them.
 
 Validation happens once, at the boundary.  The public constructor, the
 ``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key
@@ -28,10 +29,11 @@ Operations on values that meet it build their results through the
 trusted ``_of``, which only assigns fields; so every producer of terms
 (the kernels and the conversion tables included) emits that form itself.
 
-The small value classes of the package (``Discrepancy``,
+The five value classes of the package (``SymFunc``, ``Discrepancy``,
 ``VerificationReport``, ``UnivariateFactor``, ``FactorizedSeries``) share
 one private base, ``_Value``, which derives their equality, hash, repr and
-read-only fields from ``__slots__``.
+read-only fields from ``__slots__``; ``SymFunc`` keeps its own short repr
+and, like ``FactorizedSeries``, has no hash.
 
 JSON output is one sorted list of (partition, canonical coefficient
 string) pairs, each string made from a numerator with one gcd.
@@ -54,9 +56,6 @@ from symkron.partitions import Partition
 
 BASES = ("m", "e", "h", "p", "s")
 MULTIPLICATIVE_BASES = ("e", "h", "p")
-
-#: Exact rational coefficient type.
-Coefficient = Fraction
 
 _ZERO = Fraction(0)
 
@@ -168,16 +167,15 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
 
-class SymFunc:
-    """A basis-tagged sparse series truncated at total degree ``degree``."""
+class SymFunc(_Value):
+    """A basis-tagged sparse series truncated at total degree ``degree``.
+    Equal when all three fields are; unhashable, as a series is a map."""
 
     __slots__ = ("basis", "terms", "degree")
 
     def __init__(self, basis: str, terms, degree: int):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms = _checked_terms(basis, degree, items, _ratio)
-        self.basis = basis
-        self.degree = degree
+        _Value.__init__(self, basis, _checked_terms(basis, degree, items, _ratio), degree)
 
     @classmethod
     def _of(cls, basis: str, terms: IntTerms, degree: int) -> "SymFunc":
@@ -189,9 +187,7 @@ class SymFunc:
         of the kernels.
         """
         f = object.__new__(cls)
-        f.basis = basis
-        f.terms = terms
-        f.degree = degree
+        _Value.__init__(f, basis, terms, degree)
         return f
 
     # ------------------------------------------------------------ builders
@@ -226,13 +222,6 @@ class SymFunc:
     def weights(self) -> list[int]:
         """Weights that carry at least one term, ascending."""
         return sorted({lam.weight for lam in self.terms})
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return (self.basis == other.basis
-                and self.degree == other.degree
-                and self.terms == other.terms)
 
     __hash__ = None
 

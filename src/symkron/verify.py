@@ -266,25 +266,28 @@ def verify_factor_closed_forms(n: int, order: int) -> VerificationReport:
     return _report(identity, n * order, started, disc)
 
 
+#: The verify targets in report order, each a function of the degree that
+#: returns its reports: the 15 table entries, the S (x) S identity, the
+#: support claims, and the factor closed forms for n <= 4.
+TARGETS = {
+    "table": lambda degree: [verify_table_entry(a, b, degree) for a, b in table_pairs()],
+    "intro": lambda degree: [verify_intro_identity(degree)],
+    "support": lambda degree: [verify_support_claims(degree)],
+    "factors": lambda degree: [verify_factor_closed_forms(n, max(1, degree))
+                               for n in range(1, 5)],
+}
+
+
 def run_suite(degree: int, what: str = "all") -> list[VerificationReport]:
-    """The reports of one verify target, in canonical order: "table" (the 15
-    table entries), "intro" (the S (x) S identity), "support" (the support
-    claims), "factors" (the factor closed forms for n <= 4), or "all".
-    The degree must be a non-negative integer."""
+    """The reports of one of the ``TARGETS``, or of all of them for "all",
+    in canonical order.  The degree must be a non-negative integer."""
     if type(degree) is not int or degree < 0:  # bool is an int subclass
         raise ValueError(f"verify degree must be a non-negative integer: {degree!r}")
-    targets = {
-        "table": lambda: [verify_table_entry(a, b, degree) for a, b in table_pairs()],
-        "intro": lambda: [verify_intro_identity(degree)],
-        "support": lambda: [verify_support_claims(degree)],
-        "factors": lambda: [verify_factor_closed_forms(n, max(1, degree))
-                            for n in range(1, 5)],
-    }
     if what == "all":
-        return [report for run in targets.values() for report in run()]
-    if what not in targets:
+        return [report for run in TARGETS.values() for report in run(degree)]
+    if what not in TARGETS:
         raise ValueError(f"unknown verify target {what!r}")
-    return targets[what]()
+    return TARGETS[what](degree)
 
 
 def suite_exit_status(reports) -> int:

@@ -203,6 +203,18 @@ def test_triple_kronecker_power_is_order_independent():
     assert kronecker(kronecker(s, m), s) == kronecker(kronecker(s, s), m)
 
 
+@pytest.mark.parametrize("field, value", [("degree", 3), ("basis", "s")])
+def test_memoized_expansion_fields_cannot_be_changed(field, value):
+    memo = expand("H", 5)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(memo, field, value)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(memo, field)
+    again = expand("H", 5)
+    assert again is memo
+    assert (again.basis, again.degree) == ("p", 5)
+
+
 def test_expand_rejects_negative_degree():
     with pytest.raises(ValueError):
         expand("H", -1)

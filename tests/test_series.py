@@ -494,12 +494,15 @@ def value_examples():
         (lambda: FactorizedSeries(4, {2: factor}),
          FactorizedSeries(4, {}), "factors",
          "FactorizedSeries(degree=4, variables=[2])"),
+        (lambda: SymFunc("p", {(2,): F(1, 2)}, 2),
+         SymFunc("p", {(2,): F(1, 2)}, 3), "degree",
+         "SymFunc('p', degree=2, 1 terms)"),
     ]
 
 
 @pytest.mark.parametrize("make, other, field, text", value_examples(),
                          ids=["Discrepancy", "VerificationReport", "UnivariateFactor",
-                              "FactorizedSeries"])
+                              "FactorizedSeries", "SymFunc"])
 def test_value_classes_compare_hash_guard_and_print_by_their_fields(make, other, field, text):
     value, twin = make(), make()
     assert value is not twin and value == twin and not value != twin
@@ -509,7 +512,7 @@ def test_value_classes_compare_hash_guard_and_print_by_their_fields(make, other,
     for foreign in (tuple(fields.values()), types.SimpleNamespace(**fields)):
         assert value.__eq__(foreign) is NotImplemented
         assert value != foreign
-    if type(value).__name__ == "FactorizedSeries":
+    if type(value).__name__ in ("FactorizedSeries", "SymFunc"):
         with pytest.raises(TypeError):
             hash(value)
     else:

@@ -27,6 +27,7 @@ from symkron.verify import (
     run_suite,
     suite_exit_status,
     TABLE,
+    TARGETS,
     table_pairs,
     verify_factor_closed_forms,
     verify_intro_identity,
@@ -377,9 +378,9 @@ def test_table_reads_no_coefficient_of_the_expansions():
 
 
 def test_run_suite_targets_partition_the_whole_suite():
+    assert tuple(TARGETS) == ("table", "intro", "support", "factors")
     whole = [r.identity for r in run_suite(4)]
-    parts = [r.identity for what in ("table", "intro", "support", "factors")
-             for r in run_suite(4, what)]
+    parts = [r.identity for what in TARGETS for r in run_suite(4, what)]
     assert parts == whole
     assert [r.identity for r in run_suite(4, "intro")] == ["intro:S⊗S=Modd·G"]
     with pytest.raises(ValueError):
