@@ -63,16 +63,12 @@ new integer form of its sum, so no value holds a memo row as its
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import repeat
 from math import factorial, lcm, prod
 
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
 from symkron.series import BASES, BasisError, SymFunc
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ----------------------------------------------------------------- characters
@@ -417,39 +413,22 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
     normalizing; the outputs provably come out with scalar square exactly 1
     and coincide with the character-expansion route.  Returned in the m
     basis, keyed by partition.
+
+    Each vector is held in m (the result) and in p, where it starts from
+    the m -> p row ``_m_in_p`` and is paired by ``kernels.scalar_terms``.
+    Nothing else is read, no character and no p -> m row, so the oracle
+    shares no row with the route it checks.
     """
     if type(n) is not int or n < 1:  # bool is an int subclass
         raise ValueError(f"weight must be a positive integer: {n!r}")
-    lams = partitions_of(n)
-    gram = {
-        (a, b): kernels.scalar_terms(_m_in_p(a), _m_in_p(b))
-        for i, a in enumerate(lams)
-        for b in lams[: i + 1]
-    }
-
-    def pairing(u: dict, v: dict) -> Fraction:
-        total = _ZERO
-        for a, ca in u.items():
-            for b, cb in v.items():
-                g = gram.get((a, b))
-                if g is None:
-                    g = gram[(b, a)]
-                total += ca * cb * g
-        return total
-
-    vectors: list[dict] = []
-    result: dict[Partition, SymFunc] = {}
-    for lam in lams:
-        v: dict[Partition, Fraction] = {lam: _ONE}
-        for w in vectors:
-            coeff = pairing(v, w) / pairing(w, w)
-            if coeff:
-                for b, cb in w.items():
-                    s = v.get(b, _ZERO) - coeff * cb
-                    if s:
-                        v[b] = s
-                    elif b in v:
-                        del v[b]
-        vectors.append(v)
-        result[lam] = SymFunc._of("m", kernels.IntTerms.of(v), n)
-    return result
+    done: dict[Partition, tuple] = {}  # lam -> (m vector, p vector, scalar square)
+    for lam in partitions_of(n):
+        vm = SymFunc.single("m", lam, n)
+        vp = SymFunc._of("p", _m_in_p(lam), n)
+        for wm, wp, norm in done.values():
+            c = kernels.scalar_terms(vp.terms, wp.terms) / norm
+            if c:
+                vm -= wm.scale(c)
+                vp -= wp.scale(c)
+        done[lam] = (vm, vp, kernels.scalar_terms(vp.terms, vp.terms))
+    return {lam: vm for lam, (vm, _, _) in done.items()}

@@ -115,8 +115,9 @@ class VerificationReport(_Value):
 
 
 def first_difference(lhs: SymFunc, rhs: SymFunc) -> Discrepancy | None:
-    """First coefficient where the two series differ, scanning partitions in
-    (weight, lexicographic) order; None when every coefficient matches.
+    """First coefficient where the two series differ: the least key of
+    lhs - rhs in (weight, lexicographic) order; None when every
+    coefficient matches.
 
     Both series must share a basis (BasisError otherwise) and a truncation
     degree (ValueError otherwise): the coefficients of different bases do
@@ -130,13 +131,8 @@ def first_difference(lhs: SymFunc, rhs: SymFunc) -> Discrepancy | None:
                          f"{lhs.degree} and {rhs.degree}")
     if lhs.terms == rhs.terms:
         return None
-    keys = set(lhs.terms) | set(rhs.terms)
-    for key in sorted(keys, key=term_order):
-        a = lhs.coefficient(key)
-        b = rhs.coefficient(key)
-        if a != b:
-            return Discrepancy(key, a, b)
-    return None
+    key = min((lhs - rhs).terms, key=term_order)
+    return Discrepancy(key, lhs.coefficient(key), rhs.coefficient(key))
 
 
 def _report(identity: str, degree: int, started: float,

@@ -324,7 +324,7 @@ def test_gram_schmidt_weight_three_kostka():
 
 
 def test_gram_schmidt_matches_character_route():
-    for n in range(1, 7):
+    for n in range(1, 10):
         got = schur_by_gram_schmidt(n)
         for lam in partitions_of(n):
             by_characters = from_p(to_p(SymFunc.single("s", lam, n)), "m")
@@ -332,9 +332,26 @@ def test_gram_schmidt_matches_character_route():
 
 
 def test_gram_schmidt_vectors_have_unit_norm():
-    for n in range(1, 7):
+    for n in range(1, 10):
         for vec in schur_by_gram_schmidt(n).values():
             assert scalar_product(vec, vec) == 1
+
+
+def test_gram_schmidt_reads_only_the_m_to_p_rows():
+    # The oracle reads the p -> h rows and the class sizes that build
+    # [p_mu] m_lam, and nothing of the character route it is checked
+    # against: no column, character row, p -> m row or oracle character.
+    bases = symkron.bases
+    symkron.clear_caches()
+    try:
+        schur_by_gram_schmidt(7)
+        for memo in (bases._column, bases._char_row, bases._p_in_m, bases._hlam_in_p):
+            assert memo.cache_info().currsize == 0, memo
+        assert not bases._char_cache
+        assert bases._plam_in_h.cache_info().currsize
+        assert bases._class_sizes.cache_info().currsize == 1
+    finally:
+        symkron.clear_caches()
 
 
 def test_gram_schmidt_rejects_weight_zero():

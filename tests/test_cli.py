@@ -207,6 +207,24 @@ def test_verify_all(tmp_path, capsys):
     assert all(r["first_discrepancy"] is None for r in reports)
 
 
+def test_verify_prints_and_writes_the_first_discrepancy(tmp_path, capsys, monkeypatch):
+    # A wrong table entry: H (x) H is H, not E, and the two first differ at
+    # h_2 = p_1^2 / 2 + p_2 / 2 against e_2 = p_1^2 / 2 - p_2 / 2.
+    H, E = symkron.NamedSeries.H, symkron.NamedSeries.E
+    monkeypatch.setitem(symkron.verify.TABLE, (H, H), (E,))
+    report_path = tmp_path / "reports.json"
+    status, out, _ = run(["verify", "table", "--degree", "3",
+                          "--json", str(report_path)], capsys)
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL H⊗H=E ")
+    assert lines[1] == "     first discrepancy at [2]: lhs=1/2 rhs=-1/2"
+    assert lines[-1] == "14/15 identities verified"
+    first = json.loads(report_path.read_text(encoding="utf-8"))[0]
+    assert first["status"] == "fail"
+    assert first["first_discrepancy"] == {"partition": [2], "lhs": "1/2", "rhs": "-1/2"}
+
+
 def test_verify_single_groups(capsys):
     for what, count in (("intro", 1), ("support", 1), ("factors", 4), ("table", 15)):
         status, out, _ = run(["verify", what, "--degree", "3"], capsys)

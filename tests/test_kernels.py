@@ -244,6 +244,7 @@ def test_int_form_equality_with_other_values():
     assert t != F(1, 2) and t != None  # noqa: E711
     assert t == {(1,): F(1, 2)} and t != {(1,): F(1, 3)} and t != {}
     assert IntTerms.reduced({}, 5) == {} == IntTerms({}, 1)
+    assert repr(t) == "IntTerms({Partition(1,): 1}, den=2)"
 
 
 def test_int_form_is_read_only():

@@ -387,22 +387,27 @@ def test_default_and_oracle_routes_share_no_character_code(monkeypatch):
 
 
 def test_a_non_integral_class_sum_raises_with_its_value(monkeypatch):
-    # Raising chi^(5,1) on the 6-cycle by 1 moves the class sum of
-    # g((5,1), (6), (6)) = 0 by chi^(6)(6)^2 / z(6) = 1/6.
+    # Raising chi^(5,1) on the 6-cycle by 1, in the default route's column
+    # or in the oracle's memo, moves the class sum of g((5,1), (6), (6)) = 0
+    # by chi^(6)(6)^2 / z(6) = 1/6.
     bases = symkron.bases
     lam, one_row = Partition((5, 1)), Partition((6,))
-    symkron.clear_caches()
-    try:
-        column = bases._column((6,))
-        mask = bases._beta_mask(lam, 6)
-        monkeypatch.setitem(column, mask, column[mask] + 1)
-        with pytest.raises(ArithmeticError) as raised:
-            kronecker_coefficient(lam, one_row, one_row)
-        assert str(raised.value) == ("non-integral Kronecker coefficient 1/6 at "
-                                     "Partition(5, 1), Partition(6,), Partition(6,)")
-    finally:
-        monkeypatch.undo()
+    for oracle in (False, True):
         symkron.clear_caches()
+        try:
+            if oracle:
+                memo, key = bases._char_cache, (lam, one_row)
+                bases.character(lam, one_row)
+            else:
+                memo, key = bases._column((6,)), bases._beta_mask(lam, 6)
+            monkeypatch.setitem(memo, key, memo[key] + 1)
+            with pytest.raises(ArithmeticError) as raised:
+                kronecker_coefficient(lam, one_row, one_row, oracle=oracle)
+            assert str(raised.value) == ("non-integral Kronecker coefficient 1/6 at "
+                                         "Partition(5, 1), Partition(6,), Partition(6,)")
+        finally:
+            monkeypatch.undo()
+            symkron.clear_caches()
 
 
 @st.composite

@@ -40,6 +40,8 @@ def p(lam, degree, coeff=1):
 def test_zero_coefficients_dropped():
     f = SymFunc("p", {(1,): 0, (2,): F(1, 2)}, 4)
     assert f.terms == {(2,): F(1, 2)}
+    assert not SymFunc.zero("p", 3) and not SymFunc("p", {(1,): 0}, 3)
+    assert SymFunc.one("p", 3)
 
 
 def test_overweight_term_rejected():

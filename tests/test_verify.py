@@ -1,13 +1,14 @@
 import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 import symkron
-from conftest import fractions_built, poly_exp_by_horner, poly_mul
+from conftest import fractions_built, poly_exp_by_horner, poly_mul, random_symfunc
 from symkron import _kernels, bases, kronecker_coefficient, named
 from symkron._kernels import IntTerms
 from symkron.bases import _omega, character, from_p
@@ -18,7 +19,7 @@ from symkron.products import (
     kron_factor,
     kronecker,
 )
-from symkron.series import BasisError, SymFunc, exp_series
+from symkron.series import BASES, BasisError, SymFunc, exp_series, term_order
 from symkron.verify import CROSS_CHECK_DEGREE
 from symkron.verify import (
     Discrepancy,
@@ -125,6 +126,39 @@ def test_first_difference_rejects_mixed_bases_and_degrees():
     # above degree 2 the coefficients of the left side are unknown, not zero
     with pytest.raises(ValueError, match="degrees 2 and 4"):
         first_difference(named.expand("S", 2), named.expand("S", 4))
+
+
+def first_difference_by_scan(lhs, rhs):
+    """Reference: scan the union of both sides' keys in (weight, lex) order
+    for the first coefficient that differs."""
+    for key in sorted(set(lhs.terms) | set(rhs.terms), key=term_order):
+        a, b = lhs.coefficient(key), rhs.coefficient(key)
+        if a != b:
+            return Discrepancy(key, a, b)
+    return None
+
+
+def test_first_difference_matches_a_scan_of_the_key_union():
+    rng = random.Random(29)
+    differing = 0
+    for trial in range(1000):
+        basis, degree = BASES[trial % len(BASES)], rng.randint(0, 6)
+        lhs = random_symfunc(rng, basis, degree)
+        terms = dict(lhs.terms)
+        for key in list(terms):
+            roll = rng.random()
+            if roll < 0.1:
+                del terms[key]  # a key of lhs only
+            elif roll < 0.2:
+                terms[key] += rng.choice((-1, F(1, 2)))
+        for _ in range(rng.choice((0, 0, 1, 2))):  # keys of rhs only, unless lhs has them
+            lam = rng.choice(partitions_of(rng.randint(0, degree)))
+            terms.setdefault(lam, F(rng.randint(1, 9), rng.randint(1, 9)))
+        rhs = SymFunc(basis, terms, degree)
+        expected = first_difference_by_scan(lhs, rhs)
+        assert first_difference(lhs, rhs) == expected, (lhs.terms, rhs.terms)
+        differing += expected is not None
+    assert 300 < differing < 1000
 
 
 def test_intro_identity_small_degrees():
