@@ -3,15 +3,15 @@
 A term map is an ``IntTerms``: a read-only ``Mapping`` from ``Partition``
 keys (weakly decreasing integer tuples) to rationals, held as integer
 numerators over one reduced denominator; a ``fractions.Fraction`` value is
-built only where one is read.  ``IntTerms.of`` brings a map of Fractions
-into that form once.  Each kernel exists once, in Python, reads its
-inputs' ``nums`` and ``den`` and computes on Python ints; ``mul_terms``,
-``exp_terms`` and ``kron_terms`` return an ``IntTerms``, so a chain of
-kernels builds no ``Fraction`` at all; ``scalar_terms`` builds one, its
-result.  The kernels trust their inputs' keys to be partitions and
-validate none.  A single Kronecker coefficient does not run here:
-``products.kronecker_coefficient`` is one dot product of dense character
-rows, with no sparse map to walk.
+built only where one is read; ``nums`` is a read-only view.  Each kernel
+exists once, in Python, reads its inputs' ``nums`` and ``den`` and
+computes on Python ints; ``sum_terms`` (the one sparse linear
+combination), ``mul_terms``, ``exp_terms`` and ``kron_terms`` return an
+``IntTerms``, so a chain of kernels builds no ``Fraction`` at all;
+``scalar_terms`` builds one, its result.  The kernels trust their inputs'
+keys to be partitions and validate none.  A single Kronecker coefficient
+does not run here: ``products.kronecker_coefficient`` is one dot product
+of dense character rows, with no sparse map to walk.
 
 The two multiplicative kernels share one integer coding of keys.  A key is
 the int sum of 2**((part - 1) * shift) over its parts, with
@@ -36,6 +36,7 @@ import functools
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 from symkron.partitions import Partition, _z
 
@@ -49,8 +50,9 @@ class IntTerms(Mapping):
     """A read-only term map held as integer numerators over one denominator.
 
     ``nums`` maps each key to a nonzero int and ``den`` is positive, with
-    gcd(den, *nums) == 1, so the form is canonical.  ``len``, iteration,
-    ``in`` and ``keys()`` answer from ``nums``; reading a value builds its
+    gcd(den, *nums) == 1, so the form is canonical; ``nums`` is a read-only
+    view and neither field can be reassigned.  ``len``, iteration, ``in``
+    and ``keys()`` answer from ``nums``; reading a value builds its
     ``Fraction``, and the ``items()`` and ``values()`` views of ``Mapping``
     build one per value read.  Two ``IntTerms`` compare by (den, nums);
     any other mapping compares by value.
@@ -60,8 +62,8 @@ class IntTerms(Mapping):
 
     def __init__(self, nums: dict, den: int):
         """Trusted: nums nonzero, den > 0 and the pair already reduced."""
-        self.nums = nums
-        self.den = den
+        object.__setattr__(self, "nums", MappingProxyType(nums))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def reduced(cls, nums: dict, den: int) -> "IntTerms":
@@ -72,14 +74,15 @@ class IntTerms(Mapping):
             den //= cut
         return cls(nums, den)
 
-    @classmethod
-    def of(cls, terms: Mapping) -> "IntTerms":
-        """The integer form of a map of nonzero Fractions (or ints), over
-        the lcm of their denominators.  That form is reduced already: a
-        prime dividing the lcm divides some coefficient's denominator as
-        often, and so neither its numerator nor its scale factor."""
-        den = lcm(*[c.denominator for c in terms.values()])
-        return cls({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; a view cannot be pickled.
+        return IntTerms, (dict(self.nums), self.den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __getitem__(self, key):
         return Fraction(self.nums[key], self.den)
@@ -110,7 +113,7 @@ class IntTerms(Mapping):
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"IntTerms({self.nums!r}, den={self.den})"
+        return f"IntTerms({dict(self.nums)!r}, den={self.den})"
 
 
 def _units(limit: int, *maps: IntTerms) -> tuple[int, dict]:
@@ -179,6 +182,20 @@ def _decode_into(out: dict, rows, shift: int, scale: int = 1) -> None:
             if key is None:
                 key = table[code] = _decode(code, shift)
             out[key] = v * scale
+
+
+def sum_terms(rows, den: int = 1) -> IntTerms:
+    """sum of c * row / den over the (int c, IntTerms row) pairs of the
+    list ``rows``: one sparse linear combination, over den times the lcm of
+    the rows' denominators, reduced."""
+    common = lcm(*[row.den for _, row in rows])
+    acc: dict = {}
+    get = acc.get
+    for c, row in rows:
+        scale = c * (common // row.den)
+        for k, v in row.nums.items():
+            acc[k] = get(k, 0) + scale * v
+    return IntTerms.reduced({k: v for k, v in acc.items() if v}, den * common)
 
 
 def mul_terms(a: IntTerms, b: IntTerms, limit: int) -> IntTerms:

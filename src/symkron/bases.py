@@ -55,16 +55,15 @@ concurrent readers are safe (a duplicated computation stores it twice);
 ``symkron.clear_caches``, which lists every memo of the package, empties
 them all.  Every change-of-basis row, like every value's ``terms``, is
 held in the kernels' read-only integer form ``IntTerms``.  A conversion
-reads the numerators and denominator of its input and rows and returns a
-new integer form of its sum, so no value holds a memo row as its
-``terms``.
+is one ``kernels.sum_terms`` of the rows by the input's numerators, a
+new integer form, so no value holds a memo row as its ``terms``.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import repeat
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
@@ -317,24 +316,11 @@ def _p_in_m(mu: tuple) -> kernels.IntTerms:
 # -------------------------------------------------------------- conversions
 
 def _change_basis(terms: kernels.IntTerms, table) -> kernels.IntTerms:
-    """sum over lam of terms[lam] * table(lam): one sparse linear
-    combination of rows, as a change of basis (``to_p``, ``from_p``) or a
-    substitution (``products.plethysm``).
-
-    The sum runs on the numerators of the input and the rows, and the
-    result is a new integer form over the product of the input's
-    denominator and the lcm of the rows', even for a single term.
-    """
-    rows = [(v, table(lam)) for lam, v in terms.nums.items()]
-    den_rows = lcm(*[row.den for _, row in rows])
-    acc: dict[Partition, int] = {}
-    get = acc.get
-    for v, row in rows:
-        scale = v * (den_rows // row.den)
-        for mu, r in row.nums.items():
-            acc[mu] = get(mu, 0) + scale * r
-    return kernels.IntTerms.reduced({mu: v for mu, v in acc.items() if v},
-                                    terms.den * den_rows)
+    """sum over lam of terms[lam] * table(lam), as a change of basis
+    (``to_p``, ``from_p``) or a substitution (``products.plethysm``): one
+    ``kernels.sum_terms`` of the rows, by the input's numerators over its
+    denominator, into a new integer form even for a single term."""
+    return kernels.sum_terms([(v, table(lam)) for lam, v in terms.nums.items()], terms.den)
 
 
 # e_lam = omega(h_lam) and omega is linear: e runs through the h tables,

@@ -8,7 +8,8 @@ give F (x) G = prod (f_n (x) g_n).
 Per variable n, writing x for p_n, the defining exponents and their class
 values (entry k = n^k k! [x^k], the ints ``_factor_exponent`` returns;
 entries not listed are 0; only ``UnivariateFactor.coefficient`` divides
-them by z(n^k) = n^k k!, for ``exponent`` and the factors alike) are
+them by z(n^k) = n^k k!, for ``exponent`` and the factors alike) are the
+rows of ``_CLASS_VALUES``, one formula per tag:
 
     H      x/n                               [1] = 1
     E      (-1)^(n+1) x/n                    [1] = (-1)^(n+1)
@@ -57,53 +58,35 @@ class NamedSeries(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag) -> "NamedSeries":
-        if isinstance(tag, cls):
-            return tag
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ValueError(f"unknown series tag {tag!r}; expected one of {TAGS}")
+        try:
+            return cls(tag)
+        except ValueError:
+            raise ValueError(f"unknown series tag {tag!r}; expected one of {TAGS}") from None
 
 
 TAGS = tuple(member.value for member in NamedSeries)
 
 
+#: The class value n^k k! [x^k] of each exponent at (n, k >= 1), as an int:
+#: the rows of the table in the module docstring, in its order.
+_CLASS_VALUES = {
+    NamedSeries.H: lambda n, k: int(k == 1),
+    NamedSeries.E: lambda n, k: (-1) ** (n + 1) * (k == 1),
+    NamedSeries.S: lambda n, k: n * (k == 2) + n % 2 * (k == 1),
+    NamedSeries.SHINV: lambda n, k: n * (k == 2) - (1 - n % 2) * (k == 1),
+    NamedSeries.SEINV: lambda n, k: n * (k == 2) + (1 - n % 2) * (k == 1),
+    NamedSeries.MODD: lambda n, k: n % 2 and n ** (k - 1) * factorial(k),
+    NamedSeries.MEVEN: lambda n, k: (1 - n % 2) and n ** (k - 1) * factorial(k),
+    NamedSeries.N: lambda n, k: (1 - k % 2) and n ** (k - 1) * factorial(k) // 2,
+    NamedSeries.P: lambda n, k: (1 - n % 2) and (-1) ** k * n ** (k - 1) * factorial(k),
+    NamedSeries.G: lambda n, k: (1 - k % 2) and n ** k * factorial(k - 1),
+}
+
+
 def _factor_exponent(tag: NamedSeries, n: int, order: int) -> list:
     """Class values of the exponent in x = p_n through x**order: entry k
-    is n**k * k! times the coefficient of x**k, an int (module docstring)."""
-    c = [0] * (order + 3)  # room for entries 1 and 2, cut to the order below
-    odd = n % 2
-    if tag is NamedSeries.H:
-        c[1] = 1
-    elif tag is NamedSeries.E:
-        c[1] = 1 if odd else -1
-    elif tag is NamedSeries.S:
-        c[2], c[1] = n, odd
-    elif tag is NamedSeries.SHINV:
-        c[2], c[1] = n, odd - 1
-    elif tag is NamedSeries.SEINV:
-        c[2], c[1] = n, 1 - odd
-    elif tag is NamedSeries.MODD:
-        if odd:
-            for k in range(1, order + 1):
-                c[k] = n ** (k - 1) * factorial(k)
-    elif tag is NamedSeries.MEVEN:
-        if not odd:
-            for k in range(1, order + 1):
-                c[k] = n ** (k - 1) * factorial(k)
-    elif tag is NamedSeries.N:
-        for k in range(2, order + 1, 2):
-            c[k] = n ** (k - 1) * factorial(k) // 2
-    elif tag is NamedSeries.P:
-        if not odd:
-            for k in range(1, order + 1):
-                c[k] = (-1) ** k * n ** (k - 1) * factorial(k)
-    elif tag is NamedSeries.G:
-        for k in range(2, order + 1, 2):
-            c[k] = n ** k * factorial(k - 1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown tag {tag!r}")
-    return c[:order + 1]
+    is n**k * k! times the coefficient of x**k, an int (``_CLASS_VALUES``)."""
+    return [0] + [_CLASS_VALUES[tag](n, k) for k in range(1, order + 1)]
 
 
 def exponent(tag, degree: int) -> SymFunc:
@@ -129,9 +112,8 @@ def expand(tag, degree: int) -> SymFunc:
     """The series itself as a p-basis SymFunc truncated at degree.
 
     Results are memoized per (tag, degree), and every caller gets the
-    memo's value: its fields are read-only, so no caller can change the
-    basis or degree another one reads.  Its ``terms`` is shared as well and
-    must not be written to.
+    memo's value: it is read-only down to its terms' numerators, so no
+    caller can change what another one reads.
     """
     if type(degree) is not int or degree < 0:  # bool is an int subclass
         raise ValueError(f"degree must be a non-negative integer: {degree!r}")

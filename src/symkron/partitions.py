@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 
 class Partition(tuple):
@@ -101,19 +101,7 @@ def z(lam) -> int:
 
 @lru_cache(maxsize=None)
 def _z(lam: Partition) -> int:
-    result = 1
-    prev = None
-    count = 0
-    for p in lam:
-        if p == prev:
-            count += 1
-        else:
-            if prev is not None:
-                result *= prev ** count * factorial(count)
-            prev, count = p, 1
-    if prev is not None:
-        result *= prev ** count * factorial(count)
-    return result
+    return prod(p ** m * factorial(m) for p, m in lam.multiplicities().items())
 
 
 def conjugate(lam) -> Partition:

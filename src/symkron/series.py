@@ -240,21 +240,17 @@ class SymFunc(_Value):
                 "(convert explicitly; there is no implicit conversion)"
             )
 
+    def _sum(self, other: "SymFunc", sign: int) -> "SymFunc":
+        """self + sign * other, both cut to the smaller degree."""
+        self._check_basis(other)
+        degree = min(self.degree, other.degree)
+        rows = [(1, self.truncate(degree).terms), (sign, other.truncate(degree).terms)]
+        return SymFunc._of(self.basis, kernels.sum_terms(rows), degree)
+
     def __add__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        self._check_basis(other)
-        degree = min(self.degree, other.degree)
-        a, b = self.terms, other.terms
-        den = lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
-        out = {k: v * sa for k, v in a.nums.items() if k.weight <= degree}
-        get = out.get
-        for k, v in b.nums.items():
-            if k.weight <= degree:
-                out[k] = get(k, 0) + v * sb
-        return SymFunc._of(self.basis,
-                           IntTerms.reduced({k: v for k, v in out.items() if v}, den), degree)
+        return self._sum(other, 1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -262,17 +258,13 @@ class SymFunc(_Value):
     def __sub__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self + other.scale(-1)
+        return self._sum(other, -1)
 
     def scale(self, c) -> "SymFunc":
         """Multiply every coefficient by the rational c."""
         c = _exact(c)
-        if not c:
-            return SymFunc._of(self.basis, IntTerms({}, 1), self.degree)
-        n = c.numerator
-        return SymFunc._of(self.basis, IntTerms.reduced(
-            {k: n * v for k, v in self.terms.nums.items()}, c.denominator * self.terms.den),
-            self.degree)
+        return SymFunc._of(self.basis, kernels.sum_terms([(c.numerator, self.terms)],
+                                                         c.denominator), self.degree)
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):

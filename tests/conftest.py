@@ -1,12 +1,35 @@
 import contextlib
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
 from symkron import _kernels as kernels
 from symkron.partitions import partitions_of, z
 from symkron.series import SymFunc
+
+
+def int_terms(terms) -> kernels.IntTerms:
+    """The integer form of a map of nonzero Fractions (or ints), over the
+    lcm of their denominators: kernel inputs built from Fraction maps.
+    That form is reduced already: a prime dividing the lcm divides some
+    coefficient's denominator as often, and so neither its numerator nor
+    its scale factor."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return kernels.IntTerms({k: c.numerator * (den // c.denominator)
+                             for k, c in terms.items()}, den)
+
+
+def sum_by_definition(rows, den=1) -> dict:
+    """sum of c * row / den over the (c, Fraction map row) pairs, on
+    Fractions and without its zeros: the reference for ``kernels.sum_terms``
+    and for series addition, subtraction and scaling."""
+    acc = {}
+    for c, row in rows:
+        for k, v in row.items():
+            acc[k] = acc.get(k, Fraction(0)) + c * v / den
+    return {k: v for k, v in acc.items() if v}
 
 
 def random_symfunc(rng: random.Random, basis: str, degree: int,
@@ -110,7 +133,7 @@ def poly_exp_by_horner(a, order: int) -> list:
 
 def p_in_m_by_fractions(mu) -> kernels.IntTerms:
     """[m_lam] p_mu = z(mu) [p_mu] h_lam as one Fraction per entry, brought
-    to the integer form by ``IntTerms.of``: the reference for the integer
+    to the integer form by ``int_terms``: the reference for the integer
     rows of ``bases._p_in_m``."""
     from symkron.bases import _hlam_in_p
 
@@ -120,12 +143,12 @@ def p_in_m_by_fractions(mu) -> kernels.IntTerms:
         v = row.nums.get(mu)
         if v:
             out[lam] = Fraction(v * z(mu), row.den)
-    return kernels.IntTerms.of(out)
+    return int_terms(out)
 
 
 def m_in_p_by_fractions(lam) -> kernels.IntTerms:
     """[p_mu] m_lam = [h_lam] p_mu / z(mu) as one Fraction per entry,
-    brought to the integer form by ``IntTerms.of``: the reference for the
+    brought to the integer form by ``int_terms``: the reference for the
     integer rows of ``bases._m_in_p``."""
     from symkron.bases import _plam_in_h
 
@@ -135,4 +158,4 @@ def m_in_p_by_fractions(lam) -> kernels.IntTerms:
         v = row.nums.get(lam)
         if v:
             out[mu] = Fraction(v, row.den * z(mu))
-    return kernels.IntTerms.of(out)
+    return int_terms(out)

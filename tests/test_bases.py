@@ -573,6 +573,30 @@ def test_single_term_conversions_copy_rows_and_leave_them_intact():
     assert {(memo, key): memo(key) for memo, key in snapshot} == snapshot
 
 
+def test_memoized_terms_refuse_every_write():
+    # The memos hand out the same term map to every caller, so a write
+    # through one would change what every later caller reads.
+    symkron.clear_caches()
+    bases = symkron.bases
+    handed_out = [expand("H", 5).terms, bases._hlam_in_p(Partition((3, 2))),
+                  bases._plam_in_h(Partition((3, 2))), bases._p_in_m(Partition((3, 2)))]
+    writes = [lambda t: t.nums.clear(), lambda t: t.nums.update({Partition((9,)): 1}),
+              lambda t: t.nums.__setitem__(next(iter(t.nums)), 7),
+              lambda t: t.nums.__delitem__(next(iter(t.nums))),
+              lambda t: setattr(t, "den", 3), lambda t: setattr(t, "nums", {}),
+              lambda t: delattr(t, "nums")]
+    for terms in handed_out:
+        before = (terms.den, dict(terms.nums))
+        for write in writes:
+            with pytest.raises((AttributeError, TypeError)):
+                write(terms)
+        assert (terms.den, dict(terms.nums)) == before
+    with pytest.raises(AttributeError):
+        expand("H", 5).terms = handed_out[1]
+    assert len(expand("H", 5).terms) == 19
+    assert expand("H", 5) == exp_series(exponent("H", 5))
+
+
 # ------------------------------------------------------------- omega route
 #
 # e goes through the h table and the involution omega.  These tests reach

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symkron
-from conftest import exp_by_definition, fractions_built, mul_by_definition
+from conftest import (exp_by_definition, fractions_built, int_terms, mul_by_definition,
+                      sum_by_definition)
 from symkron import _kernels as kernels
 from symkron.partitions import Partition, partitions_of, z
 from symkron.series import SymFunc
@@ -22,16 +25,16 @@ def test_backend_name_is_available():
 def test_mul_respects_limit():
     a = {(2,): Fraction(1), (1,): Fraction(1)}
     b = {(2,): Fraction(1)}
-    assert kernels.mul_terms(IntTerms.of(a), IntTerms.of(b), 3) == {(2, 1): Fraction(1)}
-    assert kernels.mul_terms(IntTerms.of(a), IntTerms.of(b), 1) == {}
-    assert kernels.mul_terms(IntTerms.of({}), IntTerms.of(b), 9) == {}
+    assert kernels.mul_terms(int_terms(a), int_terms(b), 3) == {(2, 1): Fraction(1)}
+    assert kernels.mul_terms(int_terms(a), int_terms(b), 1) == {}
+    assert kernels.mul_terms(int_terms({}), int_terms(b), 9) == {}
 
 
 def test_mul_cancellation_drops_zeros():
     a = {(1,): Fraction(1), (): Fraction(1)}
     b = {(1,): Fraction(-1), (): Fraction(1)}
     # (1 + p1)(1 - p1) = 1 - p1^2
-    assert kernels.mul_terms(IntTerms.of(a), IntTerms.of(b), 2) == \
+    assert kernels.mul_terms(int_terms(a), int_terms(b), 2) == \
         {(): Fraction(1), (1, 1): Fraction(-1)}
 
 
@@ -49,8 +52,8 @@ TERM_MAPS = st.dictionaries(
          {(1, 1): F(1), (2,): F(1), (2, 1): F(7)})
 def test_kron_and_scalar_match_definition(a, b):
     products = {k: a[k] * b[k] * z(k) for k in a.keys() & b.keys()}
-    assert kernels.kron_terms(IntTerms.of(a), IntTerms.of(b)) == products
-    total = kernels.scalar_terms(IntTerms.of(a), IntTerms.of(b))
+    assert kernels.kron_terms(int_terms(a), int_terms(b)) == products
+    total = kernels.scalar_terms(int_terms(a), int_terms(b))
     assert type(total) is Fraction
     assert total == sum(products.values(), F(0))
 
@@ -72,7 +75,7 @@ def test_kron_and_scalar_match_definition(a, b):
 @example({(1,) * 3: F(-1, 3)}, {(1,) * 4: F(2), (2,): F(1)}, 7)
 @example({(1,) * 3: F(-1, 3)}, {(1,) * 5: F(2), (3,): F(1)}, 8)
 def test_mul_matches_definition(a, b, limit):
-    product = kernels.mul_terms(IntTerms.of(a), IntTerms.of(b), limit)
+    product = kernels.mul_terms(int_terms(a), int_terms(b), limit)
     assert product == mul_by_definition(a, b, limit)
     assert all(type(c) is Fraction for c in product.values())
 
@@ -87,7 +90,7 @@ def test_mul_matches_definition(a, b, limit):
 # keys above the limit contribute nothing
 @example({(5,): F(1), (1, 1): F(1, 2)}, 4)
 def test_exp_matches_definition(a, limit):
-    g = kernels.exp_terms(IntTerms.of(a), limit)
+    g = kernels.exp_terms(int_terms(a), limit)
     assert g == exp_by_definition(a, limit)
     assert all(type(c) is Fraction for c in g.values())
 
@@ -110,8 +113,8 @@ def test_both_decoders_give_back_every_partition():
 
 def test_units_code_only_the_part_sizes_of_the_inputs():
     # Part 12 is above the limit: its key is dropped before coding.
-    a = IntTerms.of({(3, 1): F(1), (1,): F(2)})
-    b = IntTerms.of({(12,): F(1), (): F(1)})
+    a = int_terms({(3, 1): F(1), (1,): F(2)})
+    b = int_terms({(12,): F(1), (): F(1)})
     assert kernels._units(10, a, b) == (4, {1: 1, 3: 1 << 8})
     assert kernels._units(10) == (4, {})
 
@@ -141,9 +144,9 @@ def test_decoded_codes_serve_every_limit(limits):
     assert (8).bit_length() == (15).bit_length() != (7).bit_length()
     symkron.clear_caches()
     for limit in limits:
-        product = kernels.mul_terms(IntTerms.of(SMALL), IntTerms.of(SMALL), limit)
+        product = kernels.mul_terms(int_terms(SMALL), int_terms(SMALL), limit)
         assert product == mul_by_definition(SMALL, SMALL, limit)
-        g = kernels.exp_terms(IntTerms.of(CONSTANT_FREE), limit)
+        g = kernels.exp_terms(int_terms(CONSTANT_FREE), limit)
         assert g == exp_by_definition(CONSTANT_FREE, limit)
         assert all(type(k) is Partition for k in (*product, *g))
         table = kernels._decoded(limit.bit_length())
@@ -153,9 +156,9 @@ def test_decoded_codes_serve_every_limit(limits):
 @pytest.mark.parametrize("first", ["mul", "exp"])
 def test_calls_share_one_key_object_per_partition(first):
     symkron.clear_caches()
-    calls = {"mul": lambda: kernels.mul_terms(IntTerms.of({(2,): F(1)}),
-                                              IntTerms.of({(1,): F(1), (2,): F(3)}), 9),
-             "exp": lambda: kernels.exp_terms(IntTerms.of({(1,): F(1), (2,): F(-1, 2)}), 12)}
+    calls = {"mul": lambda: kernels.mul_terms(int_terms({(2,): F(1)}),
+                                              int_terms({(1,): F(1), (2,): F(3)}), 9),
+             "exp": lambda: kernels.exp_terms(int_terms({(1,): F(1), (2,): F(-1, 2)}), 12)}
     second = calls["exp" if first == "mul" else "mul"]()
     results = [calls[first](), second]
     shared = results[0].keys() & results[1].keys()
@@ -169,7 +172,7 @@ def test_plain_tuple_inputs_stay_out_of_the_table():
     symkron.clear_caches()
     a = {(1,): F(1), (): F(2)}
     b = {(1,): F(-1), (2,): F(1, 3)}
-    product = kernels.mul_terms(IntTerms.of(a), IntTerms.of(b), 5)
+    product = kernels.mul_terms(int_terms(a), int_terms(b), 5)
     assert product == mul_by_definition(a, b, 5)
     assert product.keys() >= {(1,), (2,)}
     assert all(type(k) is Partition for k in product)
@@ -198,7 +201,7 @@ def assert_reduced(t: IntTerms) -> None:
 @example({(1,): F(2, 3), (2,): F(-1, 6), (): F(5, 4)})
 def test_int_form_equals_fraction_form_key_by_key(a):
     with fractions_built() as built:
-        t = IntTerms.of(a)
+        t = int_terms(a)
     assert built == []
     assert_reduced(t)
     assert set(t) == set(a) and len(t) == len(a)
@@ -233,7 +236,7 @@ def test_reduced_form_is_canonical(nums, den, scale):
         other = dict(fractions)
         other[k] += 1
         assert t != other and other != t
-        assert t != IntTerms.of(other) and IntTerms.of(other) != t
+        assert t != int_terms(other) and int_terms(other) != t
         # the same numerators over another denominator are another map
         assert t != IntTerms(t.nums, 2 * t.den) and IntTerms(t.nums, 2 * t.den) != t
 
@@ -248,23 +251,54 @@ def test_int_form_equality_with_other_values():
 
 
 def test_int_form_is_read_only():
-    t = kernels.mul_terms(IntTerms.of({(1,): F(1, 2)}), IntTerms.of({(1,): F(1, 3), (): F(1)}), 4)
+    t = kernels.mul_terms(int_terms({(1,): F(1, 2)}), int_terms({(1,): F(1, 3), (): F(1)}), 4)
+    before = (t.den, dict(t.nums))
+    key = Partition((1,))
     with pytest.raises(TypeError):
-        t[Partition((1,))] = F(1)
+        t[key] = F(1)
     with pytest.raises(TypeError):
-        del t[Partition((1,))]
+        del t[key]
     with pytest.raises(AttributeError):
         t.extra = 1
     with pytest.raises(TypeError):
         hash(t)
+    for field in ("nums", "den"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(t, field, 3)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(t, field)
+    assert (t.den, dict(t.nums)) == before
+    for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(copied) is IntTerms and (copied.den, copied.nums) == (t.den, t.nums)
+        assert repr(copied) == repr(t)
+
+
+# ------------------------------------------------- the linear-combination kernel
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), TERM_MAPS), max_size=4),
+       st.integers(1, 60))
+@example([], 1)
+@example([], 7)
+@example([(3, {(1,): F(1, 2), (2,): F(1, 4)}), (-6, {(1,): F(1, 4)})], 2)
+@example([(0, {(1,): F(5, 3)})], 3)
+def test_sum_terms_matches_fractions(rows, den):
+    got = kernels.sum_terms([(c, int_terms(row)) for c, row in rows], den)
+    assert_reduced(got)
+    assert got == sum_by_definition(rows, den)
+    for c, row in rows:
+        t = int_terms(row)
+        # a row minus itself cancels to the empty map over 1
+        diff = kernels.sum_terms([(c, t), (-c, t)], den)
+        assert (diff.den, dict(diff.nums)) == (1, {})
 
 
 @settings(max_examples=100, deadline=None)
 @given(TERM_MAPS, TERM_MAPS, st.integers(0, 10))
 def test_key_reads_build_no_fractions(a, b, limit):
-    ia, ib = IntTerms.of(a), IntTerms.of(b)
+    ia, ib = int_terms(a), int_terms(b)
     results = [kernels.mul_terms(ia, ib, limit), kernels.kron_terms(ia, ib),
-               kernels.exp_terms(IntTerms.of({k: c for k, c in a.items() if k}), limit)]
+               kernels.exp_terms(int_terms({k: c for k, c in a.items() if k}), limit)]
     for t in results:
         assert_reduced(t)
         assert t.keys() == t.nums.keys()
@@ -288,7 +322,7 @@ def test_key_reads_build_no_fractions(a, b, limit):
 @given(TERM_MAPS, TERM_MAPS, st.integers(0, 10))
 @example({(1,): F(1, 2), (): F(1)}, {(1,): F(-2, 3)}, 3)
 def test_kernels_on_mixed_inputs_match_definition(a, b, limit):
-    ia, ib = IntTerms.of(a), IntTerms.of(b)
+    ia, ib = int_terms(a), int_terms(b)
     product = mul_by_definition(a, b, limit)
     got = kernels.mul_terms(ia, ib, limit)
     assert_reduced(got)
@@ -298,7 +332,7 @@ def test_kernels_on_mixed_inputs_match_definition(a, b, limit):
     assert kernels.kron_terms(ia, ib) == diagonal
     assert kernels.scalar_terms(ia, ib) == scalar
     free = {k: c for k, c in a.items() if k}
-    g = kernels.exp_terms(IntTerms.of(free), min(limit, 8))
+    g = kernels.exp_terms(int_terms(free), min(limit, 8))
     assert_reduced(g)
     assert g == exp_by_definition(free, min(limit, 8))
 
@@ -319,6 +353,6 @@ def test_diagonal_kernels_read_z_by_key_type(monkeypatch):
     b = {Partition((2, 1)): F(5), Partition((3,)): F(2, 7)}
     diagonal = {k: a[k] * b[k] * z(k) for k in a.keys() & b.keys()}
     scalar = sum(diagonal.values(), F(0))
-    assert kernels.kron_terms(IntTerms.of(a), IntTerms.of(b)) == diagonal
-    assert kernels.scalar_terms(IntTerms.of(a), IntTerms.of(b)) == scalar
+    assert kernels.kron_terms(int_terms(a), int_terms(b)) == diagonal
+    assert kernels.scalar_terms(int_terms(a), int_terms(b)) == scalar
     assert calls == []

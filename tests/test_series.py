@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import constant_free_p_series, fractions_built, random_symfunc
+from conftest import constant_free_p_series, fractions_built, random_symfunc, sum_by_definition
 from symkron import _kernels as kernels
 from symkron.named import exponent
 from symkron.partitions import Partition, partitions_of
@@ -193,6 +193,47 @@ def test_ring_axioms_on_random_inputs():
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+@st.composite
+def p_series(draw):
+    """A p series of degree <= 8 with mixed weights and denominators."""
+    degree = draw(st.integers(0, 8))
+    keys = [lam for n in range(degree + 1) for lam in partitions_of(n)]
+    return SymFunc("p", draw(st.dictionaries(st.sampled_from(keys),
+                                             st.fractions(-9, 9, max_denominator=12),
+                                             max_size=8)), degree)
+
+
+def by_fractions(f, degree):
+    """f's terms of weight <= degree as a Fraction map."""
+    return {k: c for k, c in f.terms.items() if sum(k) <= degree}
+
+
+def assert_canonical(f):
+    t = f.terms
+    assert type(t) is kernels.IntTerms and t.den > 0
+    assert all(type(v) is int and v for v in t.nums.values())
+    assert math.gcd(t.den, *t.nums.values()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(p_series(), p_series(), st.fractions(-9, 9, max_denominator=12))
+@example(SymFunc("p", {(1,): F(1, 2), (2,): F(1, 3)}, 3),
+         SymFunc("p", {(1,): F(-1, 2), (2,): F(2, 3)}, 2), F(0))
+def test_add_sub_and_scale_match_fractions(f, g, c):
+    degree = min(f.degree, g.degree)
+    a, b = by_fractions(f, degree), by_fractions(g, degree)
+    for got, signs in ((f + g, (1, 1)), (f - g, (1, -1)), (g - f, (-1, 1))):
+        assert_canonical(got)
+        assert got.degree == degree
+        assert got.terms == sum_by_definition(zip(signs, (a, b)))
+    scaled = f.scale(c)
+    assert_canonical(scaled)
+    assert scaled.degree == f.degree and scaled.terms == sum_by_definition([(c, f.terms)])
+    for zero in (f - f, f.scale(0), f + f.scale(-1)):
+        assert_canonical(zero)
+        assert zero.is_zero() and zero.terms.den == 1 and zero.degree == f.degree
 
 
 def test_coefficients_stay_canonical():
@@ -380,7 +421,7 @@ def json_series(draw):
                                                max_size=8)), degree)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(json_series())
 @example(SymFunc.zero("s", 0))
 @example(SymFunc.zero("h", 5))

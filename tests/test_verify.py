@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -8,7 +9,7 @@ from math import comb, factorial
 import pytest
 
 import symkron
-from conftest import fractions_built, poly_exp_by_horner, poly_mul, random_symfunc
+from conftest import fractions_built, int_terms, poly_exp_by_horner, poly_mul, random_symfunc
 from symkron import _kernels, bases, kronecker_coefficient, named
 from symkron._kernels import IntTerms
 from symkron.bases import _omega, character, from_p
@@ -253,7 +254,7 @@ def test_support_claims_fail_at_p_to_s_when_omega_still_holds(monkeypatch):
     mu = Partition((3, 2, 1))
     change = {mu: F(1)}
     monkeypatch.setattr("symkron.verify.named.expand", _mutated_expand(
-        {NamedSeries.SEINV: change, NamedSeries.SHINV: _omega(IntTerms.of(change))}))
+        {NamedSeries.SEINV: change, NamedSeries.SHINV: _omega(int_terms(change))}))
     calls = _count_from_p(monkeypatch)
     report = verify_support_claims(8)
     assert not report.passed()
@@ -293,7 +294,7 @@ def test_support_claims_fail_above_the_cross_check_in_s(monkeypatch):
     mu = Partition((14,))
     change = {mu: F(1, 14)}
     _mutated_exponents(monkeypatch, {NamedSeries.SEINV: change,
-                                     NamedSeries.SHINV: _omega(IntTerms.of(change))})
+                                     NamedSeries.SHINV: _omega(int_terms(change))})
     calls = _count_from_p(monkeypatch)
     assert verify_support_claims(13).passed()
     report = verify_support_claims(16)
@@ -515,16 +516,23 @@ def test_suite_catches_injected_corruption(monkeypatch):
 # routes share code; one that failed fewer would mean a route checks
 # nothing.
 
-def _failing_routes() -> set:
-    """The routes that fail: each verify target at degree 8, and "coef" on
-    every triple of weight 5.  An ArithmeticError fails its route."""
+def _failing_targets(degree: int) -> set:
+    """The verify targets that fail at the degree.  An ArithmeticError
+    fails its target."""
     failing = set()
-    for target in ("table", "intro", "support", "factors"):
+    for target in TARGETS:
         try:
-            if suite_exit_status(run_suite(8, target)):
+            if suite_exit_status(run_suite(degree, target)):
                 failing.add(target)
         except ArithmeticError:
             failing.add(target)
+    return failing
+
+
+def _failing_routes() -> set:
+    """The routes that fail: each verify target at degree 8, and "coef" on
+    every triple of weight 5.  An ArithmeticError fails its route."""
+    failing = _failing_targets(8)
     try:
         if any(kronecker_coefficient(*t) != kronecker_coefficient(*t, oracle=True)
                for t in itertools.product(partitions_of(5), repeat=3)):
@@ -587,3 +595,68 @@ def test_each_fault_fails_exactly_its_routes(monkeypatch, fault, failing):
     finally:
         monkeypatch.undo()
         symkron.clear_caches()
+
+
+# The exponent mutants: one class value of one named exponent changed, for
+# every tag, n and k <= degree // n: raised by n^(k-1) k! (1/n on the
+# coefficient of p_n^k) and, where it is nonzero, negated.  Every mutant
+# must fail the table, except S's x/n term negated at odd n: that mutant is
+# S with p_n -> -p_n, which every report pairs with a partner that hides
+# it.  Tier-1 scans degree 8 and CI degree 12.
+
+#: Per degree: how many mutants fail each set of verify targets.
+EXPONENT_ROUTE_MATRIX = {
+    8: {("table",): 142, ("intro", "table"): 64, ("support", "table"): 56,
+        ("factors", "intro", "table"): 18, (): 4},
+    12: {("table",): 244, ("intro", "table"): 116, ("support", "table"): 94,
+         ("factors", "intro", "table"): 27, (): 6},
+}
+
+
+def s_sign_twists(degree: int) -> set:
+    """The mutants that pass the table: S's x/n term negated at odd n."""
+    return {(NamedSeries.S, n, 1, -1) for n in range(1, degree + 1, 2)}
+
+
+def _exponent_mutants(degree: int):
+    """(tag, n, k, mutated class value) for every mutant at the degree."""
+    for tag in NamedSeries:
+        for n in range(1, degree + 1):
+            values = named._factor_exponent(tag, n, degree // n)
+            for k in range(1, degree // n + 1):
+                yield tag, n, k, values[k] + n ** (k - 1) * factorial(k)
+                if values[k]:
+                    yield tag, n, k, -values[k]
+
+
+def exponent_mutant_scan(degree: int) -> tuple[dict, set]:
+    """Runs every verify target at the degree on each mutant, with
+    ``named._factor_exponent`` patched and the memos cleared.  Returns how
+    many mutants fail each set of targets, and the mutants that pass the
+    table."""
+    real = named._factor_exponent
+    matrix = collections.Counter()
+    survivors = set()
+    try:
+        for tag, n, k, value in list(_exponent_mutants(degree)):
+            def mutated(t, m, order, tag=tag, n=n, k=k, value=value):
+                values = real(t, m, order)
+                if (t, m) == (tag, n) and k <= order:
+                    values[k] = value
+                return values
+            named._factor_exponent = mutated
+            symkron.clear_caches()
+            failing = _failing_targets(degree)
+            matrix[tuple(sorted(failing))] += 1
+            if "table" not in failing:
+                survivors.add((tag, n, k, value))
+    finally:
+        named._factor_exponent = real
+        symkron.clear_caches()
+    return dict(matrix), survivors
+
+
+def test_every_exponent_mutant_fails_the_table_but_the_s_sign_twists():
+    matrix, survivors = exponent_mutant_scan(8)
+    assert survivors == s_sign_twists(8)
+    assert matrix == EXPONENT_ROUTE_MATRIX[8]
