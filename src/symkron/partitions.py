@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
 
 
 class Partition(tuple):
@@ -92,16 +91,21 @@ def z(lam) -> int:
     """Centralizer size of the conjugacy class with cycle type lam.
 
     For lam with multiplicities r_1, r_2, ... this is the product of
-    i**r_i * r_i! over the distinct part values i.  Exact arbitrary
-    precision; z(()) == 1.  Memoized per partition; lam that is not a
-    ``Partition`` is validated as one first (ValueError otherwise).
+    i**r_i * r_i! over the distinct part values i, taken in one pass as
+    i * j for the j-th copy of each part i.  Exact; z(()) == 1.
+    Memoized per partition; lam that is not a ``Partition`` is validated
+    as one first (ValueError otherwise).
     """
     return _z(lam if type(lam) is Partition else Partition(lam))
 
 
 @lru_cache(maxsize=None)
 def _z(lam: Partition) -> int:
-    return prod(p ** m * factorial(m) for p, m in lam.multiplicities().items())
+    result, prev, run = 1, 0, 0
+    for p in lam:
+        run, prev = (run + 1 if p == prev else 1), p
+        result *= p * run
+    return result
 
 
 def conjugate(lam) -> Partition:

@@ -281,10 +281,7 @@ class SymFunc(_Value):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     # ---------------------------------------------------------- truncation
 

@@ -421,7 +421,7 @@ def json_series(draw):
                                                max_size=8)), degree)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(json_series())
 @example(SymFunc.zero("s", 0))
 @example(SymFunc.zero("h", 5))
