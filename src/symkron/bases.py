@@ -4,10 +4,9 @@ The p basis is the canonical coordinate system; every conversion routes
 through it:
 
 * h and p are multiplicative, so each direction is a table memoized per
-  partition and built on the partition trie as the character columns are:
-  a one-part key is its closed form, h_n = sum over mu of p_mu / z(mu) and
-  p_n = sum over lam of (-1)^(len(lam) - 1) n (len(lam) - 1)! / prod_i m_i(lam)! h_lam,
-  and a longer key is its first part's table times its tail's;
+  partition and built on the partition trie as the character columns are,
+  both by one builder (``_multiplicative_table``): a one-part key is its
+  closed form, and a longer key is its first part's table times its tail's;
 * e as omega(h): the involution omega sends h_lam to e_lam and acts on
   power sums as p_mu -> (-1)^(|mu| - len(mu)) p_mu;
 * m and s by the Hall duality: for dual bases b and b* (m* = h, s* = s),
@@ -66,8 +65,8 @@ from itertools import repeat
 from math import factorial, prod
 
 from symkron import _kernels as kernels
-from symkron.partitions import Partition, partitions_of, z
-from symkron.series import BASES, BasisError, SymFunc
+from symkron.partitions import Partition, _natural, partitions_of, z
+from symkron.series import BASES, BasisError, SymFunc, _constant_free_p
 
 
 # ----------------------------------------------------------------- characters
@@ -125,7 +124,7 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
     """All character values chi^lam(mu) for lam, mu partitions of n, keyed
     by (lam, mu)."""
     lams = partitions_of(n)
-    return {(l, m): character(l, m) for l in lams for m in lams}
+    return {(l, m): _char(l, m) for l in lams for m in lams}
 
 
 # ------------------------------------------------------- character columns
@@ -235,29 +234,26 @@ def _omega(terms: kernels.IntTerms) -> kernels.IntTerms:
 _EMPTY_ROW = kernels.IntTerms({Partition(): 1}, 1)
 
 
-@functools.cache
-def _hlam_in_p(lam: tuple) -> kernels.IntTerms:
-    """h_lam over p: the closed form for one part, else h_(lam_1) times the
-    tail's table.  h_n = sum over mu of p_mu / z(mu), every class value 1."""
-    if len(lam) > 1:
-        return kernels.mul_terms(_hlam_in_p(lam[:1]), _hlam_in_p(lam[1:]), sum(lam))
-    if not lam:
-        return _EMPTY_ROW
-    return _over_classes(lam[0], repeat(1))
+def _multiplicative_table(one_part):
+    """The memoized table of h over p, or of p over h, on the partition
+    trie: () is the empty row, a one-part key n its closed form
+    ``one_part(n)``, a longer key its first part's table times its tail's.
+    The closed forms: h_n = sum over mu |- n of p_mu / z(mu), and p_n =
+    sum over lam |- n of (-1)^(l-1) n (l-1)! / prod_i m_i! h_lam, integers
+    over 1, where lam has l parts and multiplicities m_i."""
+    @functools.cache
+    def table(lam: tuple) -> kernels.IntTerms:
+        if len(lam) > 1:
+            return kernels.mul_terms(table(lam[:1]), table(lam[1:]), sum(lam))
+        return one_part(lam[0]) if lam else _EMPTY_ROW
+    return table
 
 
-@functools.cache
-def _plam_in_h(mu: tuple) -> kernels.IntTerms:
-    """p_mu over h: the closed form for one part (integer coefficients, m_i
-    the multiplicities), else p_(mu_1) times the tail's table."""
-    if len(mu) > 1:
-        return kernels.mul_terms(_plam_in_h(mu[:1]), _plam_in_h(mu[1:]), sum(mu))
-    if not mu:
-        return _EMPTY_ROW
-    n = mu[0]
-    return kernels.IntTerms({lam: (-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1)
-                             // prod(map(factorial, lam.multiplicities().values()))
-                             for lam in partitions_of(n)}, 1)
+_hlam_in_p = _multiplicative_table(lambda n: _over_classes(n, repeat(1)))
+_plam_in_h = _multiplicative_table(lambda n: kernels.IntTerms(
+    {lam: (-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1)
+          // prod(map(factorial, lam.multiplicities().values()))
+     for lam in partitions_of(n)}, 1))
 
 
 @functools.cache
@@ -376,13 +372,9 @@ def exp_in_s(f: SymFunc) -> SymFunc:
     exponent with a few terms, as the named series have, never expands
     exp(f) in p.
     """
-    if f.basis != "p":
-        raise BasisError("exp_in_s expects a p-basis input")
-    nums = f.terms.nums
-    if nums.get(()):
-        raise ValueError("exp_in_s needs a zero constant term")
+    _constant_free_p(f, "exp_in_s")
     slices: dict[int, list] = {}
-    for mu, v in nums.items():
+    for mu, v in f.terms.nums.items():
         slices.setdefault(sum(mu), []).append((mu, v))
     den, g = kernels._exp_slices(slices, f.terms.den, f.degree, _p_times)
     return SymFunc._of("s", kernels.IntTerms(
@@ -405,8 +397,7 @@ def schur_by_gram_schmidt(n: int) -> dict[Partition, SymFunc]:
     Nothing else is read, no character and no p -> m row, so the oracle
     shares no row with the route it checks.
     """
-    if type(n) is not int or n < 1:  # bool is an int subclass
-        raise ValueError(f"weight must be a positive integer: {n!r}")
+    _natural(n, "weight", 1)
     done: dict[Partition, tuple] = {}  # lam -> (m vector, p vector, scalar square)
     for lam in partitions_of(n):
         vm = SymFunc.single("m", lam, n)

@@ -7,9 +7,10 @@ give F (x) G = prod (f_n (x) g_n).
 
 Per variable n, writing x for p_n, the defining exponents and their class
 values (entry k = n^k k! [x^k], the ints ``_factor_exponent`` returns;
-entries not listed are 0; only ``UnivariateFactor.coefficient`` divides
-them by z(n^k) = n^k k!, for ``exponent`` and the factors alike) are the
-rows of ``_CLASS_VALUES``, one formula per tag:
+entries not listed are 0; ``exponent`` divides them by z(n^k) = n^k k!
+through ``UnivariateFactor.coefficient``, and a factor's embedding in p,
+``UnivariateFactor._p_terms``, puts them over the lcm of the z(n^k) it
+uses) are the rows of ``_CLASS_VALUES``, one per tag:
 
     H      x/n                               [1] = 1
     E      (-1)^(n+1) x/n                    [1] = (-1)^(n+1)
@@ -38,6 +39,7 @@ import enum
 from functools import lru_cache
 from math import factorial
 
+from symkron.partitions import _natural
 from symkron.series import SymFunc, _Value, exp_series
 from symkron.products import UnivariateFactor, kron_factor, poly_exp
 
@@ -91,8 +93,7 @@ def _factor_exponent(tag: NamedSeries, n: int, order: int) -> list:
 
 def exponent(tag, degree: int) -> SymFunc:
     """The p-basis exponent polynomial of the series, truncated at degree."""
-    if type(degree) is not int or degree < 0:  # bool is an int subclass
-        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
+    _natural(degree, "degree")
     tag = NamedSeries.from_tag(tag)
     terms = {}
     for n in range(1, degree + 1):
@@ -115,8 +116,7 @@ def expand(tag, degree: int) -> SymFunc:
     memo's value: it is read-only down to its terms' numerators, so no
     caller can change what another one reads.
     """
-    if type(degree) is not int or degree < 0:  # bool is an int subclass
-        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
+    _natural(degree, "degree")
     return _expand_cached(NamedSeries.from_tag(tag), degree)
 
 
@@ -139,7 +139,7 @@ class FactorizedSeries(_Value):
                 raise TypeError(f"factor at {n!r} is not a UnivariateFactor: {f!r}")
             if type(n) is not int or n != f.n:  # bool is an int subclass
                 raise ValueError(f"factor in p_{f.n} keyed by {n!r}")
-        _Value.__init__(self, degree, factors)
+        _Value.__init__(self, _natural(degree, "degree"), factors)
 
     __hash__ = None
 
@@ -158,18 +158,15 @@ def factor(tag, n: int, order: int) -> UnivariateFactor:
     """The single variable-n factor of the series, to the given k-order:
     exp of the univariate exponent listed in the module docstring."""
     tag = NamedSeries.from_tag(tag)
-    if type(n) is not int or n < 1:  # bool is an int subclass
-        raise ValueError(f"variable index must be a positive integer: {n!r}")
-    if type(order) is not int or order < 0:
-        raise ValueError(f"order must be a non-negative integer: {order!r}")
+    _natural(n, "variable index", 1)
+    _natural(order, "order")
     return UnivariateFactor(n, poly_exp(_factor_exponent(tag, n, order), order))
 
 
 def factorize(tag, degree: int) -> FactorizedSeries:
     """Per-variable factorization: factor at n is exp of the univariate
     exponent, truncated in k at degree // n.  Trivial factors are omitted."""
-    if type(degree) is not int or degree < 0:  # bool is an int subclass
-        raise ValueError(f"degree must be a non-negative integer: {degree!r}")
+    _natural(degree, "degree")
     tag = NamedSeries.from_tag(tag)
     factors = {}
     for n in range(1, degree + 1):

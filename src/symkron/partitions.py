@@ -22,7 +22,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(parts)
+        try:
+            parts = tuple(parts)
+        except TypeError:
+            raise ValueError(f"parts must be positive integers: {parts!r}") from None
         prev = None
         for p in parts:
             if type(p) is not int or p < 1:  # bool is an int subclass
@@ -58,15 +61,22 @@ class Partition(tuple):
         return f"Partition{tuple(self)!r}"
 
 
+def _natural(value, what: str, least: int = 0) -> int:
+    """value, if it is an int of at least ``least`` (0 or 1): the package's
+    one check of an integer argument, a ValueError naming ``what`` else."""
+    if type(value) is not int or value < least:  # bool is an int subclass
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer: {value!r}")
+    return value
+
+
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, ascending in the order documented on Partition.
 
     partitions_of(0) == [Partition(())].  Each call returns a new list of
     the same memoized ``Partition`` objects, so a caller may mutate its list.
     """
-    if type(n) is not int or n < 0:  # bool is an int subclass
-        raise ValueError(f"n must be a non-negative integer: {n!r}")
-    return list(_partitions(n))
+    return list(_partitions(_natural(n, "n")))
 
 
 @lru_cache(maxsize=None)

@@ -16,19 +16,21 @@ n! / z_nu, divided by n! once; it builds no series and no ``Fraction``.
 
 A factor in one variable p_n is held by its integer class values
 f[k] = <f, p_n^k> = n^k k! [p_n^k] f (``UnivariateFactor``): there the
-Kronecker product is pointwise and exp has no division.
+Kronecker product is pointwise and exp has no division, and its p terms
+are one integer form over the lcm of the z(n^k) they use (``_p_terms``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, lcm
 from operator import mul
 
 from symkron import _kernels as kernels
 from symkron import bases
-from symkron.partitions import Partition, partitions_of, z
-from symkron.series import BasisError, SymFunc, _select, _Value
+from symkron.partitions import Partition, _natural, partitions_of, z
+from symkron.series import SymFunc, _constant_free_p, _Value
 
 _ZERO = Fraction(0)
 
@@ -66,23 +68,16 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     min(f.degree, g.degree): substitution cannot recover terms that either
     truncation has already discarded.
     """
-    if g.basis != "p":
-        raise BasisError("plethysm expects g in the p basis")
-    if g.constant_term:
-        raise ValueError("plethysm needs a constant-free g")
+    _constant_free_p(g, "plethysm (g)")
     fp = bases.to_p(f)
     degree = min(fp.degree, g.degree)
 
-    dilated: dict[int, kernels.IntTerms] = {}
-
+    @cache
     def dilate(m: int) -> kernels.IntTerms:
-        cached = dilated.get(m)
-        if cached is None:
-            cached = dilated[m] = kernels.IntTerms.reduced(
-                {Partition(m * p for p in key): v
-                 for key, v in g.terms.nums.items() if m * key.weight <= degree},
-                g.terms.den)
-        return cached
+        # m times a partition's parts is a partition: built unchecked
+        return kernels.IntTerms.reduced(
+            {tuple.__new__(Partition, [m * p for p in key]): v
+             for key, v in g.terms.nums.items() if m * key.weight <= degree}, g.terms.den)
 
     def substitute(lam: Partition) -> kernels.IntTerms:
         acc = bases._EMPTY_ROW
@@ -91,8 +86,7 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
         return acc
 
     # every part of g has degree >= 1, so heavier terms of f vanish
-    kept = _select(fp.terms, lambda w: w <= degree)
-    return SymFunc._of("p", bases._change_basis(kept, substitute), degree)
+    return SymFunc._of("p", bases._change_basis(fp.truncate(degree).terms, substitute), degree)
 
 
 # ----------------------------------------------------- univariate factors
@@ -109,8 +103,7 @@ class UnivariateFactor(_Value):
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: tuple):
-        if type(n) is not int or n < 1:  # bool is an int subclass
-            raise ValueError("variable index must be a positive integer")
+        _natural(n, "variable index", 1)
         values = tuple(values)
         for v in values:
             if type(v) is not int:
@@ -127,17 +120,25 @@ class UnivariateFactor(_Value):
             return Fraction(self.values[k], self.n ** k * factorial(k))
         return _ZERO
 
+    def _p_terms(self, degree: int) -> kernels.IntTerms:
+        """The p terms values[k] / z(n^k) of weight n * k <= degree, reduced
+        over the lcm D of the z(n^k) = n^k k! they use: numerator
+        values[k] * (D / z(n^k)) at the key (n,) * k, built unchecked."""
+        n = self.n
+        used = [(k, v, n ** k * factorial(k))
+                for k, v in enumerate(self.values[:degree // n + 1]) if v]
+        den = lcm(*[zk for _, _, zk in used])
+        return kernels.IntTerms.reduced(
+            {tuple.__new__(Partition, (n,) * k): v * (den // zk) for k, v, zk in used}, den)
+
     def to_symfunc(self, degree: int | None = None) -> SymFunc:
         """Embed into the ambient ring; degree defaults to n * order and
         must stay below n * (order + 1), where the next power is unknown."""
-        n = self.n
         if degree is None:
-            degree = n * self.order
-        elif degree >= n * (self.order + 1):
-            raise ValueError(f"p_{n}^{self.order + 1} is unknown at degree {degree}")
-        terms = {(n,) * k: self.coefficient(k)
-                 for k in range(self.order + 1) if n * k <= degree}
-        return SymFunc("p", terms, degree)
+            degree = self.n * self.order
+        elif _natural(degree, "truncation degree") >= self.n * (self.order + 1):
+            raise ValueError(f"p_{self.n}^{self.order + 1} is unknown at degree {degree}")
+        return SymFunc._of("p", self._p_terms(degree), degree)
 
 
 def kron_factor(a: UnivariateFactor, b: UnivariateFactor) -> UnivariateFactor:
@@ -176,7 +177,7 @@ def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
     n! / z_nu (``_class_sizes``), all in ``partitions_of(n)`` order, takes
     one integer dot product of the four and divides it by n!.  With
     oracle=True the same sum runs on ``Fraction`` with characters by
-    strip removal (``character``), which share no code with the columns.
+    strip removal (``bases._char``), which share no code with the columns.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -185,10 +186,9 @@ def kronecker_coefficient(lam, mu, rho, oracle: bool = False) -> int:
         raise ValueError("kronecker_coefficient needs |lam| == |mu| == |rho|")
     n = lam.weight
     if oracle:
+        char = bases._char
         val = sum(
-            (Fraction(bases.character(lam, nu)
-                      * bases.character(mu, nu)
-                      * bases.character(rho, nu), z(nu))
+            (Fraction(char(lam, nu) * char(mu, nu) * char(rho, nu), z(nu))
              for nu in partitions_of(n)),
             _ZERO,
         )

@@ -15,19 +15,21 @@ coefficient read builds one.  Operations return new values, and a
 value's fields are read-only, so a shared or memoized series cannot be
 changed through them.
 
-Validation happens once, at the boundary.  The public constructor, the
-``zero`` / ``one`` / ``single`` builders and ``from_json`` check every key
-and coefficient once, through one builder (``_checked_terms``) over each
-term's partition, numerator and denominator, which also builds the
-reduced ``IntTerms``.  The constructor takes an ``int`` or a ``Fraction``
-per coefficient; ``from_json`` reads a JSON integer or a rational string
-straight to a numerator and a denominator, with one regex match, and
-builds no ``Fraction``.  Every value then meets the invariant: ``terms``
-an ``IntTerms`` with ``Partition`` keys, nonzero numerators, a positive
-denominator in lowest terms with them, and weights at most the degree.
-Operations on values that meet it build their results through the
-trusted ``_of``, which only assigns fields; so every producer of terms
-(the kernels and the conversion tables included) emits that form itself.
+Validation happens once, at the boundary, one owner per rule.  The
+public constructor, the ``zero`` / ``one`` / ``single`` builders and
+``from_json`` check every key and coefficient once, through one builder
+(``_checked_terms``), which also builds the reduced ``IntTerms``; an
+integer argument is checked by ``partitions._natural``, and the input of
+exp or of a plethysm's g by ``_constant_free_p``.  The constructor takes
+an ``int`` or a ``Fraction`` per coefficient; ``from_json`` reads a JSON
+integer or a rational string straight to a numerator and a denominator,
+with one regex match, and builds no ``Fraction``.  Every value then
+meets the invariant: ``terms`` an ``IntTerms`` with ``Partition`` keys,
+nonzero numerators, a positive denominator in lowest terms with them,
+and weights at most the degree.  Operations on values that meet it build
+their results through the trusted ``_of``, which only assigns fields; so
+every producer of terms (the kernels and the conversion tables included)
+emits that form itself.
 
 The five value classes of the package (``SymFunc``, ``Discrepancy``,
 ``VerificationReport``, ``UnivariateFactor``, ``FactorizedSeries``) share
@@ -52,7 +54,7 @@ from math import gcd, lcm
 
 from symkron import _kernels as kernels
 from symkron._kernels import IntTerms
-from symkron.partitions import Partition
+from symkron.partitions import Partition, _natural
 
 BASES = ("m", "e", "h", "p", "s")
 MULTIPLICATIVE_BASES = ("e", "h", "p")
@@ -101,8 +103,7 @@ def _checked_terms(basis: str, degree: int, items, ratio=None) -> IntTerms:
     """
     if basis not in BASES:
         raise BasisError(f"unknown basis {basis!r}; expected one of {BASES}")
-    if type(degree) is not int or degree < 0:  # bool is an int subclass
-        raise ValueError(f"truncation degree must be a non-negative integer: {degree!r}")
+    _natural(degree, "truncation degree")
     terms: dict[Partition, tuple[int, int]] = {}
     for lam, c in items:
         if not isinstance(lam, Partition):
@@ -291,9 +292,7 @@ class SymFunc(_Value):
         d may not exceed the current truncation degree: terms beyond it are
         unknown, not zero.
         """
-        if type(d) is not int or d < 0:  # bool is an int subclass
-            raise ValueError(f"truncation degree must be a non-negative integer: {d!r}")
-        if d > self.degree:
+        if _natural(d, "truncation degree") > self.degree:
             raise ValueError(f"cannot raise truncation degree from {self.degree} to {d}")
         if d == self.degree:
             return self
@@ -396,6 +395,15 @@ class SymFunc(_Value):
         return cls.from_json_dict(data)
 
 
+def _constant_free_p(f: SymFunc, what: str) -> None:
+    """The precondition of exp and of plethysm's inner series, read from
+    the numerators: f is a p-basis series with no constant term."""
+    if f.basis != "p":
+        raise BasisError(f"{what} expects a p-basis series")
+    if f.terms.nums.get(()):
+        raise ValueError(f"{what} needs a zero constant term")
+
+
 def exp_series(f: SymFunc) -> SymFunc:
     """exp of a constant-free p-basis series, truncated at its degree.
 
@@ -406,8 +414,5 @@ def exp_series(f: SymFunc) -> SymFunc:
     numerators, decodes each result key once and returns the integer form:
     no coefficient becomes a ``Fraction`` until it is read.
     """
-    if f.basis != "p":
-        raise BasisError("exp_series expects the p basis")
-    if f.constant_term:
-        raise ValueError("exp_series needs a zero constant term")
+    _constant_free_p(f, "exp_series")
     return SymFunc._of("p", kernels.exp_terms(f.terms, f.degree), f.degree)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from symkron import named
 from symkron.bases import _omega, exp_in_s, from_p
 from symkron.named import NamedSeries
-from symkron.partitions import Partition, partitions_of
+from symkron.partitions import Partition, _natural, partitions_of
 from symkron.products import kron_factor, kronecker
 from symkron.series import BasisError, SymFunc, _Value, term_order
 
@@ -277,8 +277,7 @@ TARGETS = {
 def run_suite(degree: int, what: str = "all") -> list[VerificationReport]:
     """The reports of one of the ``TARGETS``, or of all of them for "all",
     in canonical order.  The degree must be a non-negative integer."""
-    if type(degree) is not int or degree < 0:  # bool is an int subclass
-        raise ValueError(f"verify degree must be a non-negative integer: {degree!r}")
+    _natural(degree, "verify degree")
     if what == "all":
         return [report for run in TARGETS.values() for report in run(degree)]
     if what not in TARGETS:

@@ -153,6 +153,17 @@ def test_factors_and_their_kronecker_products_build_no_fraction():
     assert built == []
 
 
+def test_the_factor_layer_embeds_class_values_without_fractions():
+    # Each p term of a factor is its class value over z(n^k), put over
+    # one lcm per factor: no Fraction on the way.
+    with fractions_built() as built:
+        embedded = factor("G", 3, 6).to_symfunc()
+        product = kronecker_product_form("S", "SHinv", 16)
+    assert built == []
+    assert embedded.coefficient((3, 3)) == F(1, 2)  # (1 - x^2)^(-1/2)
+    assert product == kronecker(expand("S", 16), expand("SHinv", 16))
+
+
 def test_factorize_reexpands_exactly():
     # The left side goes through poly_exp and UnivariateFactor, the right
     # through exp_series: two recurrences that share no code.

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symkron import partitions
+from symkron.bases import character, schur_by_gram_schmidt
+from symkron.named import FactorizedSeries, expand, exponent, factor, factorize
 from symkron.partitions import Partition, conjugate, partitions_of, z
+from symkron.products import UnivariateFactor, kronecker_coefficient
+from symkron.series import SymFunc
+from symkron.verify import run_suite
 
 # p(0) .. p(12)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -185,6 +191,53 @@ def test_partition_validation():
         Partition(("2",))
     with pytest.raises(ValueError):
         Partition((True,))
+
+
+def test_a_part_list_that_is_not_iterable_is_a_value_error():
+    # each of these used to raise TypeError: 'int' object is not iterable
+    calls = [Partition, z, SymFunc.one("p", 2).coefficient,
+             lambda lam: SymFunc.single("p", lam, 3),
+             lambda lam: character(lam, (1, 1, 1)),
+             lambda lam: kronecker_coefficient(lam, (1,), (1,))]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^parts must be positive integers: 5$"):
+            call(5)
+    # the JSON boundary keeps its own prefix
+    data = {"basis": "p", "degree": 3, "terms": [{"partition": 5, "coefficient": 1}]}
+    with pytest.raises(ValueError, match="^malformed series JSON: "):
+        SymFunc.from_json_dict(data)
+
+
+#: Every public integer argument, by the call that takes it, the name its
+#: message gives, and whether it must be positive rather than non-negative.
+#: ``FactorizedSeries`` used to take any degree and fail only at ``expand``.
+INTEGER_ARGUMENTS = {
+    "partitions_of": (partitions_of, "n", False),
+    "SymFunc": (lambda d: SymFunc.zero("p", d), "truncation degree", False),
+    "SymFunc.truncate": (lambda d: SymFunc.one("p", 4).truncate(d), "truncation degree", False),
+    "exponent": (lambda d: exponent("S", d), "degree", False),
+    "expand": (lambda d: expand("S", d), "degree", False),
+    "factorize": (lambda d: factorize("S", d), "degree", False),
+    "factor n": (lambda n: factor("S", n, 3), "variable index", True),
+    "factor order": (lambda k: factor("S", 2, k), "order", False),
+    "run_suite": (run_suite, "verify degree", False),
+    "schur_by_gram_schmidt": (schur_by_gram_schmidt, "weight", True),
+    "UnivariateFactor": (lambda n: UnivariateFactor(n, (1,)), "variable index", True),
+    "UnivariateFactor.to_symfunc": (lambda d: UnivariateFactor(1, (1, 1)).to_symfunc(d),
+                                    "truncation degree", False),
+    "FactorizedSeries": (lambda d: FactorizedSeries(d, {1: UnivariateFactor(1, (1, 1))}),
+                         "degree", False),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_every_integer_argument_follows_one_rule(name):
+    call, what, positive = INTEGER_ARGUMENTS[name]
+    kind = "positive" if positive else "non-negative"
+    for bad in (True, 2.5, -1, "3") + ((0,) if positive else ()):
+        with pytest.raises(ValueError, match=f"^{what} must be a {kind} integer: "
+                                             f"{re.escape(repr(bad))}$"):
+            call(bad)
 
 
 def test_partition_behaves_like_tuple():
