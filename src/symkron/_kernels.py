@@ -6,8 +6,9 @@ numerators over one reduced denominator; a ``fractions.Fraction`` value is
 built only where one is read; ``nums`` is a read-only view.  Each kernel
 exists once, in Python, reads its inputs' ``nums`` and ``den`` and
 computes on Python ints; ``sum_terms`` (the one sparse linear
-combination), ``mul_terms``, ``exp_terms`` and ``kron_terms`` return an
-``IntTerms``, so a chain of kernels builds no ``Fraction`` at all;
+combination), ``mul_terms``, ``exp_terms``, ``kron_terms`` and
+``class_terms`` (class values over z, in p) return an ``IntTerms``, so a
+chain of kernels builds no ``Fraction`` at all;
 ``scalar_terms`` builds one, its result.  The kernels trust their inputs'
 keys to be partitions and validate none.  A single Kronecker coefficient
 does not run here: ``products.kronecker_coefficient`` is one dot product
@@ -282,6 +283,14 @@ def kron_terms(a: IntTerms, b: IntTerms) -> IntTerms:
         if vb is not None:
             out[k] = va * vb * _z(k)
     return IntTerms.reduced(out, a.den * b.den)
+
+
+def class_terms(pairs) -> IntTerms:
+    """sum of v * p_mu / z(mu) over the (Partition mu, int v) pairs, each mu
+    at most once and zeros skipped: the one embedding of class values in p."""
+    used = [(mu, v, _z(mu)) for mu, v in pairs if v]
+    den = lcm(*[zmu for _, _, zmu in used])
+    return IntTerms.reduced({mu: v * (den // zmu) for mu, v, zmu in used}, den)
 
 
 def scalar_terms(a: IntTerms, b: IntTerms) -> Fraction:

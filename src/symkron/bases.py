@@ -14,7 +14,7 @@ through it:
   across the h/p tables of its weight, [p_mu] m_lam = [h_lam] p_mu / z(mu)
   and [m_lam] p_mu = z(mu) [p_mu] h_lam; s -> p reads chi^lam(mu) / z(mu)
   across the character columns.  The p rows of h_n, m_lam and s_lam
-  come from one builder, ``_over_classes``.
+  embed class values by one kernel, ``kernels.class_terms``.
 
 Characters come by two independent routes, both Murnaghan-Nakayama:
 
@@ -32,9 +32,10 @@ Characters come by two independent routes, both Murnaghan-Nakayama:
   from the column of mu's tail.  Each lam is read across the columns once,
   into the dense character row ``_char_row`` (chi^lam on every class, in
   ``partitions_of`` order), which has two readers: the s -> p row
-  ``_s_in_p`` is that row times the class sizes ``_class_sizes``, and the
-  default ``kronecker_coefficient`` is one dot product of three rows with
-  the class sizes.  Both rest on the columns and not on ``character``.
+  ``_s_in_p`` is that row over z(mu), by ``kernels.class_terms``, and
+  the default ``kronecker_coefficient`` is one dot product of three rows
+  with the class sizes ``_class_sizes``.  Both rest on the columns and
+  not on ``character``.
   ``exp_in_s`` runs the same Horner driver to build exp(f) in s straight
   from a p-basis exponent f, by the one driver of the Euler recurrence,
   ``_kernels._exp_slices``, on Schur vectors, so a series given by a short
@@ -61,7 +62,6 @@ new integer form, so no value holds a memo row as its ``terms``.
 from __future__ import annotations
 
 import functools
-from itertools import repeat
 from math import factorial, prod
 
 from symkron import _kernels as kernels
@@ -249,7 +249,8 @@ def _multiplicative_table(one_part):
     return table
 
 
-_hlam_in_p = _multiplicative_table(lambda n: _over_classes(n, repeat(1)))
+_hlam_in_p = _multiplicative_table(lambda n: kernels.class_terms(
+    (mu, 1) for mu in partitions_of(n)))
 _plam_in_h = _multiplicative_table(lambda n: kernels.IntTerms(
     {lam: (-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1)
           // prod(map(factorial, lam.multiplicities().values()))
@@ -273,25 +274,16 @@ def _char_row(lam: tuple) -> tuple:
     return tuple(_column(mu).get(mask, 0) for mu in partitions_of(n))
 
 
-def _over_classes(n: int, values) -> kernels.IntTerms:
-    """sum over mu |- n of values[i] p_mu / z(mu), with integer values in
-    ``partitions_of(n)`` order: held over n! as value times the class size
-    n! / z(mu), and reduced."""
-    return kernels.IntTerms.reduced(
-        {mu: v * size for mu, v, size in zip(partitions_of(n), values, _class_sizes(n)) if v},
-        factorial(n))
-
-
 def _s_in_p(lam: tuple) -> kernels.IntTerms:
     """[p_mu] s_lam = chi^lam(mu) / z(mu), from the dense character row."""
-    return _over_classes(sum(lam), _char_row(lam))
+    return kernels.class_terms(zip(partitions_of(sum(lam)), _char_row(lam)))
 
 
 def _m_in_p(lam: tuple) -> kernels.IntTerms:
     """[p_mu] m_lam = [h_lam] p_mu / z(mu), read across the p -> h rows,
     which are over 1."""
-    n = sum(lam)
-    return _over_classes(n, [_plam_in_h(mu).nums.get(lam, 0) for mu in partitions_of(n)])
+    return kernels.class_terms((mu, _plam_in_h(mu).nums.get(lam, 0))
+                               for mu in partitions_of(sum(lam)))
 
 
 @functools.cache

@@ -7,10 +7,10 @@ give F (x) G = prod (f_n (x) g_n).
 
 Per variable n, writing x for p_n, the defining exponents and their class
 values (entry k = n^k k! [x^k], the ints ``_factor_exponent`` returns;
-entries not listed are 0; ``exponent`` divides them by z(n^k) = n^k k!
-through ``UnivariateFactor.coefficient``, and a factor's embedding in p,
-``UnivariateFactor._p_terms``, puts them over the lcm of the z(n^k) it
-uses) are the rows of ``_CLASS_VALUES``, one per tag:
+entries not listed are 0; ``exponent`` and a factor's embedding in p,
+``UnivariateFactor.to_symfunc``, divide them by z(n^k) = n^k k! through
+the one embedding of class values, ``kernels.class_terms``) are the rows
+of ``_CLASS_VALUES``, one per tag:
 
     H      x/n                               [1] = 1
     E      (-1)^(n+1) x/n                    [1] = (-1)^(n+1)
@@ -39,7 +39,8 @@ import enum
 from functools import lru_cache
 from math import factorial
 
-from symkron.partitions import _natural
+from symkron import _kernels as kernels
+from symkron.partitions import Partition, _natural
 from symkron.series import SymFunc, _Value, exp_series
 from symkron.products import UnivariateFactor, kron_factor, poly_exp
 
@@ -92,16 +93,13 @@ def _factor_exponent(tag: NamedSeries, n: int, order: int) -> list:
 
 
 def exponent(tag, degree: int) -> SymFunc:
-    """The p-basis exponent polynomial of the series, truncated at degree."""
+    """The p-basis exponent polynomial of the series, truncated at degree:
+    its nonzero class values embedded by ``kernels.class_terms``, with no ``Fraction``."""
     _natural(degree, "degree")
     tag = NamedSeries.from_tag(tag)
-    terms = {}
-    for n in range(1, degree + 1):
-        exponent_n = UnivariateFactor(n, _factor_exponent(tag, n, degree // n))
-        for k, c in enumerate(exponent_n.values):
-            if c:
-                terms[(n,) * k] = exponent_n.coefficient(k)
-    return SymFunc("p", terms, degree)
+    return SymFunc("p", kernels.class_terms(
+        (tuple.__new__(Partition, (n,) * k), v) for n in range(1, degree + 1)
+        for k, v in enumerate(_factor_exponent(tag, n, degree // n)) if v), degree)
 
 
 @lru_cache(maxsize=None)

@@ -17,14 +17,14 @@ n! / z_nu, divided by n! once; it builds no series and no ``Fraction``.
 A factor in one variable p_n is held by its integer class values
 f[k] = <f, p_n^k> = n^k k! [p_n^k] f (``UnivariateFactor``): there the
 Kronecker product is pointwise and exp has no division, and its p terms
-are one integer form over the lcm of the z(n^k) they use (``_p_terms``).
+are those values over z(n^k), embedded by ``kernels.class_terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from symkron import _kernels as kernels
@@ -96,7 +96,7 @@ class UnivariateFactor(_Value):
 
     values[k] = n**k * k! * [p_n**k] f, an int, so the term of index k has
     series degree n*k; the truncation order is in k (len(values) - 1), not
-    in degree.  Only ``coefficient`` divides by z(n^k) = n**k * k!.
+    in degree.  ``coefficient`` reads one as a ``Fraction``, over z(n^k).
     Immutable and hashable; equal when n and values are.
     """
 
@@ -120,17 +120,6 @@ class UnivariateFactor(_Value):
             return Fraction(self.values[k], self.n ** k * factorial(k))
         return _ZERO
 
-    def _p_terms(self, degree: int) -> kernels.IntTerms:
-        """The p terms values[k] / z(n^k) of weight n * k <= degree, reduced
-        over the lcm D of the z(n^k) = n^k k! they use: numerator
-        values[k] * (D / z(n^k)) at the key (n,) * k, built unchecked."""
-        n = self.n
-        used = [(k, v, n ** k * factorial(k))
-                for k, v in enumerate(self.values[:degree // n + 1]) if v]
-        den = lcm(*[zk for _, _, zk in used])
-        return kernels.IntTerms.reduced(
-            {tuple.__new__(Partition, (n,) * k): v * (den // zk) for k, v, zk in used}, den)
-
     def to_symfunc(self, degree: int | None = None) -> SymFunc:
         """Embed into the ambient ring; degree defaults to n * order and
         must stay below n * (order + 1), where the next power is unknown."""
@@ -138,7 +127,9 @@ class UnivariateFactor(_Value):
             degree = self.n * self.order
         elif _natural(degree, "truncation degree") >= self.n * (self.order + 1):
             raise ValueError(f"p_{self.n}^{self.order + 1} is unknown at degree {degree}")
-        return SymFunc._of("p", self._p_terms(degree), degree)
+        return SymFunc._of("p", kernels.class_terms(
+            (tuple.__new__(Partition, (self.n,) * k), v)
+            for k, v in enumerate(self.values[:degree // self.n + 1])), degree)
 
 
 def kron_factor(a: UnivariateFactor, b: UnivariateFactor) -> UnivariateFactor:

@@ -21,15 +21,15 @@ public constructor, the ``zero`` / ``one`` / ``single`` builders and
 (``_checked_terms``), which also builds the reduced ``IntTerms``; an
 integer argument is checked by ``partitions._natural``, and the input of
 exp or of a plethysm's g by ``_constant_free_p``.  The constructor takes
-an ``int`` or a ``Fraction`` per coefficient; ``from_json`` reads a JSON
-integer or a rational string straight to a numerator and a denominator,
-with one regex match, and builds no ``Fraction``.  Every value then
-meets the invariant: ``terms`` an ``IntTerms`` with ``Partition`` keys,
-nonzero numerators, a positive denominator in lowest terms with them,
-and weights at most the degree.  Operations on values that meet it build
-their results through the trusted ``_of``, which only assigns fields; so
-every producer of terms (the kernels and the conversion tables included)
-emits that form itself.
+an ``int`` or a ``Fraction`` per coefficient, or an ``IntTerms`` read by
+its numerators; ``from_json`` reads a JSON integer or a rational string
+to a numerator and a denominator by one regex match; neither builds a
+``Fraction``.  Every value then meets the invariant: ``terms`` an
+``IntTerms`` with ``Partition`` keys, nonzero numerators, a positive
+denominator in lowest terms with them, and weights at most the degree.
+Operations on values that meet it build their results through the
+trusted ``_of``, which only assigns fields; so every producer of terms
+(the kernels and the conversion tables included) emits that form itself.
 
 The five value classes of the package (``SymFunc``, ``Discrepancy``,
 ``VerificationReport``, ``UnivariateFactor``, ``FactorizedSeries``) share
@@ -95,11 +95,13 @@ def _checked_terms(basis: str, degree: int, items, ratio=None) -> IntTerms:
     ``items`` in turn: the partition (validated unless it is a
     ``Partition`` already), that it appears once, the coefficient, and,
     when it is nonzero, that the partition's weight is at most the
-    degree.  A coefficient is a (numerator, denominator) pair in lowest
-    terms with the denominator positive, or whatever ``ratio`` turns into
-    one.  The result is over the lcm of the denominators, which keeps it
-    reduced: a prime dividing the lcm divides some denominator as often,
-    and so neither that term's numerator nor its scale factor.
+    degree.  A coefficient is a (numerator, denominator) pair with the
+    denominator positive, or whatever ``ratio`` turns into one.  The
+    result, over the lcm of the denominators, is reduced: either each pair
+    is in lowest terms, and a prime dividing the lcm divides some
+    denominator as often, so neither that term's numerator nor its scale
+    factor; or the pairs are an ``IntTerms``, reduced as a whole, over its
+    one denominator, which is then the lcm.
     """
     if basis not in BASES:
         raise BasisError(f"unknown basis {basis!r}; expected one of {BASES}")
@@ -175,8 +177,12 @@ class SymFunc(_Value):
     __slots__ = ("basis", "terms", "degree")
 
     def __init__(self, basis: str, terms, degree: int):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        _Value.__init__(self, basis, _checked_terms(basis, degree, items, _ratio), degree)
+        items, ratio = terms, _ratio
+        if type(terms) is IntTerms:
+            items, ratio = terms.nums.items(), lambda n: (n, terms.den)
+        elif isinstance(terms, Mapping):
+            items = terms.items()
+        _Value.__init__(self, basis, _checked_terms(basis, degree, items, ratio), degree)
 
     @classmethod
     def _of(cls, basis: str, terms: IntTerms, degree: int) -> "SymFunc":

@@ -3,10 +3,8 @@ the S (x) S product identity, the Schur-support checks for SHinv and SEinv,
 and the closed forms of the per-variable Kronecker factors of S.
 
 Each factor closed form g_n is checked as the power series with g_0 = 1
-that solves D g' = N g: (D, N) = (1 - x^2, x) for even n, and
-(n (1 - x)^2 (1 + x), (1 + x) + n x (1 - x)) for odd n.  Since D(0) != 0,
-the x^k coefficient of D g' - N g determines g_(k+1) from g_0..g_k, so
-vanishing residuals certify the closed form coefficient by coefficient.
+that solves D g' = N g, on its integer class values, so a passing check
+builds no ``Fraction`` (``verify_factor_closed_forms``).
 
 Reports are deterministic in everything except wall time: identical inputs
 produce the same status and the same first discrepancy, ordered by
@@ -17,6 +15,8 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import zip_longest
+from math import factorial, perm
 
 from symkron import named
 from symkron.bases import _omega, exp_in_s, from_p
@@ -233,30 +233,33 @@ def verify_factor_closed_forms(n: int, order: int) -> VerificationReport:
     Even n: g_n = (1 - x^2)^(-1/2), so (D, N) = (1 - x^2, x).  Odd n:
     g_n = exp(x / (n (1 - x))) * (1 - x^2)^(-1/2), whose log-derivative
     gives (D, N) = (n (1 - x)^2 (1 + x), (1 + x) + n x (1 - x)).  As
-    D(0) != 0, the x^k coefficient of D g' - N g fixes g_(k+1) from
-    g_0..g_k, so g_0 = 1 and a zero residual for every k < order hold
-    exactly when g agrees with the closed form through x^order.
+    D(0) != 0, the x^k residual of D g' - N g fixes g_(k+1) from g_0..g_k,
+    so g_0 = 1 and zero residuals for k < order hold exactly when g agrees
+    with the closed form through x^order.  With D = sum d_i x^i, N = sum
+    c_i x^i and class values v_j = n^j j! g_j, n^(k+1) k! times the x^k
+    residual is the int sum_(i<=k) perm(k, i) n^i (d_i v_(k+1-i) - n c_i v_(k-i)).
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _natural(order, "order", 1)
     identity = f"factors:n={n}"
     started = time.perf_counter()
     f = named.factor(_S, n, order)
-    g = kron_factor(f, f).coefficient
+    g = kron_factor(f, f).values
     if n % 2 == 0:
         den, num = (1, 0, -1), (0, 1)
     else:
         den, num = (n, -n, -n, n), (1, 1 + n, -n)
 
     disc = None
-    if g(0) != 1:
-        disc = Discrepancy(Partition(()), g(0), _ONE)
+    if g[0] != 1:
+        disc = Discrepancy(Partition(()), Fraction(g[0]), _ONE)
     else:
         for k in range(order):
-            residual = (sum(c * (k + 1 - i) * g(k + 1 - i) for i, c in enumerate(den))
-                        - sum(c * g(k - i) for i, c in enumerate(num)))
+            residual = sum(perm(k, i) * n ** i * (d * g[k + 1 - i] - n * c * g[k - i])
+                           for i, (d, c) in enumerate(zip_longest(den, num, fillvalue=0))
+                           if i <= k)
             if residual:
-                disc = Discrepancy(Partition((n,) * k), residual, _ZERO)
+                disc = Discrepancy(Partition((n,) * k),
+                                   Fraction(residual, n ** (k + 1) * factorial(k)), _ZERO)
                 break
 
     return _report(identity, n * order, started, disc)

@@ -293,6 +293,29 @@ def test_sum_terms_matches_fractions(rows, den):
         assert (diff.den, dict(diff.nums)) == (1, {})
 
 
+# ------------------------------------------------- the class-value embedding
+
+#: Keys of mixed weights up to 8, and the one-part powers (n,) * k of the
+#: factors and exponents up to k = 30.
+CLASS_KEYS = sorted({lam for n in range(9) for lam in partitions_of(n)}
+                    | {Partition((n,) * k) for n in range(1, 5) for k in range(31)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(CLASS_KEYS),
+                       st.one_of(st.just(0), st.integers(-10**40, 10**40)), max_size=12))
+@example({})
+@example({(): 0, (2, 1): 0})
+@example({Partition((3,) * k): k - 7 for k in range(31)})
+@example({Partition((1,) * k): z((1,) * k) for k in range(31)})
+def test_class_terms_matches_fractions(values):
+    # sum of v p_mu / z(mu) on Fractions, brought to the integer form
+    got = kernels.class_terms(values.items())
+    assert_reduced(got)
+    assert got == int_terms({mu: F(v, z(mu)) for mu, v in values.items() if v})
+    assert all(type(k) is Partition for k in got)
+
+
 @settings(max_examples=100, deadline=None)
 @given(TERM_MAPS, TERM_MAPS, st.integers(0, 10))
 def test_key_reads_build_no_fractions(a, b, limit):

@@ -8,11 +8,12 @@ from hypothesis import given, strategies as st
 
 from symkron import partitions
 from symkron.bases import character, schur_by_gram_schmidt
-from symkron.named import FactorizedSeries, expand, exponent, factor, factorize
+from symkron.named import (FactorizedSeries, expand, exponent, factor, factorize,
+                            kronecker_product_form)
 from symkron.partitions import Partition, conjugate, partitions_of, z
 from symkron.products import UnivariateFactor, kronecker_coefficient
 from symkron.series import SymFunc
-from symkron.verify import run_suite
+from symkron.verify import run_suite, verify_factor_closed_forms
 
 # p(0) .. p(12)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -221,6 +222,11 @@ INTEGER_ARGUMENTS = {
     "factor n": (lambda n: factor("S", n, 3), "variable index", True),
     "factor order": (lambda k: factor("S", 2, k), "order", False),
     "run_suite": (run_suite, "verify degree", False),
+    "verify_factor_closed_forms n": (lambda n: verify_factor_closed_forms(n, 3),
+                                     "variable index", True),
+    "verify_factor_closed_forms order": (lambda k: verify_factor_closed_forms(2, k),
+                                         "order", True),
+    "kronecker_product_form": (lambda d: kronecker_product_form("S", "H", d), "degree", False),
     "schur_by_gram_schmidt": (schur_by_gram_schmidt, "weight", True),
     "UnivariateFactor": (lambda n: UnivariateFactor(n, (1,)), "variable index", True),
     "UnivariateFactor.to_symfunc": (lambda d: UnivariateFactor(1, (1, 1)).to_symfunc(d),

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import constant_free_p_series, fractions_built, random_symfunc, sum_by_definition
 from symkron import _kernels as kernels
-from symkron.named import exponent
+from symkron.named import expand, exponent
 from symkron.partitions import Partition, partitions_of
 from symkron.products import plethysm
 from symkron.series import BasisError, SymFunc, exp_series
@@ -57,6 +57,28 @@ def test_unknown_basis_rejected():
 def test_bad_degree_rejected():
     with pytest.raises(ValueError):
         SymFunc("p", {}, -1)
+
+
+def test_int_form_input_is_read_by_its_numerators_and_checked():
+    # An IntTerms is read over its one denominator, with no Fraction, and
+    # meets every check of the boundary all the same.
+    s6 = expand("S", 6)
+    with fractions_built() as built:
+        f = SymFunc("p", s6.terms, 6)
+    assert built == []
+    assert f == s6 and f.terms is not s6.terms
+    with pytest.raises(ValueError, match="exceeds truncation degree 5"):
+        SymFunc("p", s6.terms, 5)
+    with pytest.raises(BasisError, match="unknown basis 'q'"):
+        SymFunc("q", s6.terms, 6)
+    for bad in (True, -1):
+        with pytest.raises(ValueError, match=f"^truncation degree must be .*: {bad!r}$"):
+            SymFunc("p", s6.terms, bad)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        SymFunc("p", kernels.IntTerms({(1, 2): 1}, 3), 3)
+    g = SymFunc("p", kernels.IntTerms({(2, 1): 2, (): -1}, 3), 3)
+    assert all(type(k) is Partition for k in g.terms)
+    assert g.terms == {(2, 1): F(2, 3), (): F(-1, 3)}
 
 
 def test_float_coefficients_rejected():

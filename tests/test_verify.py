@@ -412,6 +412,24 @@ def test_table_reads_no_coefficient_of_the_expansions():
     assert built == []
 
 
+def test_passing_suite_exponents_and_int_form_input_build_no_fraction():
+    # A cold passing suite, the ten exponents and the checking constructor
+    # on an integer form stay on integers from start to end.
+    symkron.clear_caches()
+    with fractions_built() as built:
+        assert all(r.passed() for r in run_suite(20))
+    assert built == []
+    with fractions_built() as built:
+        exponents = [named.exponent(tag, 30) for tag in named.TAGS]
+    assert built == [] and len(exponents) == len(named.TAGS)
+    s16 = named.expand("S", 16)
+    for basis in "hems":
+        g = from_p(s16, basis)
+        with fractions_built() as built:
+            f = SymFunc(g.basis, g.terms, 16)
+        assert built == [] and f == g
+
+
 def test_run_suite_targets_partition_the_whole_suite():
     assert tuple(TARGETS) == ("table", "intro", "support", "factors")
     whole = [r.identity for r in run_suite(4)]
